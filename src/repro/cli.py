@@ -11,9 +11,7 @@ console script)::
     python -m repro all --quick          # everything, scaled down
     python -m repro sweep table1 --jobs 4     # declarative cached sweep
     python -m repro sweep stabilization --quick --cache out/cache
-    python -m repro all --store sqlite   # sharded SQLite result store
-    python -m repro cache info .sweep-cache   # store backend & layout
-    python -m repro cache migrate .sweep-cache out/db   # JSON -> SQLite
+    python -m repro cache info .sweep-cache   # entries, schema, size
     python -m repro cache verify .sweep-cache --repair  # integrity scan
     python -m repro sweep table1 --jobs 4 --chunk-timeout 60 --max-retries 3
     python -m repro lint src/repro       # determinism static analysis
@@ -29,13 +27,13 @@ a scaled-down grid, and ``--jobs``/``--cache`` thread straight to the
 sweep executor so experiment cells are parallelized and cached like
 sweep cells.  ``sweep`` executes a registered :mod:`repro.sweep`
 scenario through the batched kernel and the parallel executor; results
-land in an on-disk result store (default ``.sweep-cache``), so
-repeating or resuming a sweep only computes the missing cells.
-``--store sqlite`` swaps the one-file-per-cell JSON tree for the
-sharded SQLite store of :mod:`repro.sweep.store` (batched probes and
-commits, bit-identical results); ``python -m repro cache`` inspects,
-migrates, compacts and integrity-checks either layout (``verify
-[--repair]`` re-digests every row and quarantines corrupt ones).
+land in the result store of :mod:`repro.sweep.store` — one SQLite file
+inside the ``--cache`` directory (default ``.sweep-cache``) — so
+repeating or resuming a sweep only computes the missing cells.  A
+``--cache`` path that cannot hold the store exits 2 with one line
+naming the path and the reason.  ``python -m repro cache`` inspects,
+compacts and integrity-checks an existing store (``verify [--repair]``
+re-digests every row and quarantines corrupt ones).
 Both commands end with a one-line ``computed=X cached=Y`` accounting
 — plus ``failed=Z`` when the fault-tolerant executor had to
 quarantine cells (``--max-retries``/``--chunk-timeout`` tune its
@@ -266,22 +264,14 @@ def _cmd_all(
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.sweep.store import (
-        migrate_json_to_sqlite,
-        store_info,
-        vacuum_store,
-        verify_store,
-    )
+    from repro.sweep.store import store_info, vacuum_store, verify_store
 
     def show(facts: dict) -> None:
         for key in sorted(facts):
             print(f"{key}={facts[key]}")
 
     try:
-        if args.cache_command == "migrate":
-            report = migrate_json_to_sqlite(args.source, args.dest)
-            print(report.summary_line())
-        elif args.cache_command == "vacuum":
+        if args.cache_command == "vacuum":
             show(vacuum_store(args.path))
         elif args.cache_command == "verify":
             verify = verify_store(args.path, repair=args.repair)
@@ -412,14 +402,9 @@ def main(argv: list[str] | None = None) -> int:
         )
         exp_parser.add_argument(
             "--cache", metavar="DIR", default=DEFAULT_SWEEP_CACHE,
-            help="measurement result cache for the batch backend "
-            f"(default: {DEFAULT_SWEEP_CACHE}); 'none' disables caching",
-        )
-        exp_parser.add_argument(
-            "--store", choices=("json", "sqlite"), default="json",
-            help="result-store backend for --cache: 'json' (one file "
-            "per cell, default) or 'sqlite' (sharded, batched I/O); "
-            "results are bit-identical across backends",
+            help="result-store directory for the batch backend's "
+            f"measurements (default: {DEFAULT_SWEEP_CACHE}); the cells "
+            "live in one SQLite file inside it; 'none' disables caching",
         )
         exp_parser.add_argument(
             "--trace", metavar="PATH", default=None,
@@ -453,14 +438,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     sweep_parser.add_argument(
         "--cache", metavar="DIR", default=DEFAULT_SWEEP_CACHE,
-        help=f"result cache directory (default: {DEFAULT_SWEEP_CACHE}); "
-        "'none' disables caching",
-    )
-    sweep_parser.add_argument(
-        "--store", choices=("json", "sqlite"), default="json",
-        help="result-store backend for --cache: 'json' (one file per "
-        "cell, default) or 'sqlite' (sharded, batched I/O); results "
-        "are bit-identical across backends",
+        help=f"result-store directory (default: {DEFAULT_SWEEP_CACHE}); "
+        "the cells live in one SQLite file inside it; 'none' disables "
+        "caching",
     )
     sweep_parser.add_argument(
         "--chunk-lanes", type=_chunk_lanes_argument, default=None,
@@ -502,40 +482,31 @@ def main(argv: list[str] | None = None) -> int:
         "'stats'); results are unaffected",
     )
     cache_parser = sub.add_parser(
-        "cache", help="inspect, migrate or compact a result cache",
-        description="Maintenance tooling for on-disk result stores: "
-        "'info' reports backend/entries/layout, 'migrate' streams a "
-        "JSON tree into a sharded SQLite store (verifying every "
-        "entry's identity hash on the way), 'vacuum' compacts SQLite "
-        "shards / sweeps stale JSON temp files.",
+        "cache", help="inspect, verify or compact a result store",
+        description="Maintenance tooling for the result store of an "
+        "existing --cache directory: 'info' reports its entries, schema "
+        "and size, 'verify' re-digests every row, 'vacuum' compacts the "
+        "database file.  A PATH without a store exits 2 and creates "
+        "nothing.",
     )
     cache_sub = cache_parser.add_subparsers(dest="cache_command",
                                             required=True)
     cache_info = cache_sub.add_parser(
-        "info", help="report a store's backend, entry count and layout"
+        "info", help="report a store's entry count, schema and size"
     )
     cache_info.add_argument("path", help="cache directory")
-    cache_migrate = cache_sub.add_parser(
-        "migrate",
-        help="stream a JSON-tree cache into a sharded SQLite store",
-    )
-    cache_migrate.add_argument("source", help="JSON-tree cache directory")
-    cache_migrate.add_argument(
-        "dest", help="destination SQLite store directory"
-    )
     cache_vacuum = cache_sub.add_parser(
-        "vacuum",
-        help="compact SQLite shards / sweep stale JSON temp files",
+        "vacuum", help="compact the store's database file"
     )
     cache_vacuum.add_argument("path", help="cache directory")
     cache_verify = cache_sub.add_parser(
         "verify",
         help="re-digest every row; report (or --repair) corrupt entries",
-        description="Full integrity scan of a result store, either "
-        "backend: every row's config text is re-digested against its "
-        "identity hash and checked for well-formed metrics.  Exits 1 "
-        "while unrepaired corruption remains; --repair quarantines "
-        "the bad rows so the next sweep recomputes them.",
+        description="Full integrity scan of a result store: every "
+        "row's config text is re-digested against its identity hash "
+        "and checked for well-formed metrics.  Exits 1 while "
+        "unrepaired corruption remains; --repair quarantines the bad "
+        "rows so the next sweep recomputes them.",
     )
     cache_verify.add_argument("path", help="cache directory")
     cache_verify.add_argument(
@@ -585,15 +556,18 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     def dispatch() -> int:
-        cache_dir = None if args.cache == "none" else args.cache
-        if cache_dir is not None and args.store != "json":
-            # A plain path means the historical JSON tree; non-default
-            # backends travel as a spec prefix so the store choice
-            # reaches run_cells through the existing cache_dir plumbing
-            # without widening any experiment-runner signature.
-            from repro.sweep.store import format_store_spec
+        from repro.sweep.store import StoreOpenError
 
-            cache_dir = format_store_spec(args.store, cache_dir)
+        try:
+            return run_command()
+        except StoreOpenError as exc:
+            # The store opens inside run_cells; an unusable --cache
+            # path is a usage error, not a traceback.
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
+
+    def run_command() -> int:
+        cache_dir = None if args.cache == "none" else args.cache
         if args.command == "run":
             return _cmd_run(
                 args.name,

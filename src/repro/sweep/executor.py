@@ -1,10 +1,10 @@
-"""Parallel sweep executor over a pluggable, batched result store.
+"""Parallel sweep executor over a batched result store.
 
 ``run_sweep`` turns a :class:`repro.sweep.spec.ScenarioSpec` into
 results in three stages:
 
 1. **cache probe** — the whole deduplicated cell list is probed in one
-   :meth:`repro.sweep.store.CacheStore.lookup_many` call; hits are
+   :meth:`repro.sweep.store.ResultStore.lookup_many` call; hits are
    served without any simulation, which is what makes repeated and
    resumed sweeps free;
 2. **batch planning** — cache misses are grouped by model, ring size,
@@ -22,7 +22,7 @@ results in three stages:
    ``multiprocessing`` pool under a supervising dispatcher
    (:class:`_Supervisor`), with per-chunk progress reporting; each
    chunk's results are written back in one batched
-   :meth:`~repro.sweep.store.CacheStore.put_many` call.
+   :meth:`~repro.sweep.store.ResultStore.put_many` call.
 
 The execution stage is **fault-tolerant**: chunks are tracked
 individually with per-chunk deadlines (``chunk_timeout``), failed
@@ -35,19 +35,15 @@ finishes: ``run_cells`` returns a structured :class:`FailureReport`
 (quarantined cell hashes plus exception summaries) instead of
 propagating the first worker exception.  Probe-time ``corrupt``
 statuses self-heal — the bad rows are quarantined through
-:meth:`~repro.sweep.store.CacheStore.quarantine_many` and recomputed.
+:meth:`~repro.sweep.store.ResultStore.quarantine_many` and recomputed.
 All of it is reproducible: :mod:`repro.sweep.faults` injects seeded,
 deterministic faults (worker crashes, poison cells, delays, store-row
 corruption) for tests, benchmarks and the CI chaos job, and none of
 the robustness knobs joins any cache identity.
 
-The store itself is pluggable (:mod:`repro.sweep.store`): a plain
-``cache_dir`` path selects the portable one-JSON-file-per-cell tree,
-a ``sqlite://<dir>`` spec the sharded SQLite store whose batched
-probes and transactional writes keep warm million-cell sweeps out of
-syscall territory.  Reports are bit-identical whichever backend served
-them.  :class:`ResultCache` remains as the JSON backend's historical
-name.
+The store (:mod:`repro.sweep.store`) is one SQLite file inside
+``cache_dir``, whose batched probes and transactional writes keep warm
+million-cell sweeps out of syscall territory.
 """
 
 from __future__ import annotations
@@ -83,7 +79,7 @@ from repro.sweep.faults import (
 )
 from repro.sweep.cells import cell_from_dict
 from repro.sweep.spec import ScenarioSpec, SweepConfig
-from repro.sweep.store import CacheStore, JsonTreeStore, open_store
+from repro.sweep.store import ResultStore, open_store
 from repro.util.stats import normal_ci, summarize
 from repro.util.tables import Table
 from repro.util.timing import Stopwatch
@@ -121,10 +117,6 @@ def _prefer_serial_covers(n: int, configs: Sequence) -> bool:
     return sum(config.k for config in configs) < n
 
 ProgressFn = Callable[[int, int], None]
-
-#: The JSON tree store under its historical executor name: existing
-#: imports (and cache directories) keep working unchanged.
-ResultCache = JsonTreeStore
 
 
 @dataclass
@@ -1191,11 +1183,8 @@ def run_cells(
     survive — quarantined hashes are absent from ``metrics_by_hash``
     and callers decide whether that is fatal.
 
-    ``cache_dir`` is a store spec: a plain directory path opens the
-    JSON tree backend, a ``sqlite://<dir>`` (or ``json://<dir>``)
-    prefix selects a backend explicitly (see
-    :mod:`repro.sweep.store`).  Results are bit-identical across
-    backends; only probe/commit latency differs.
+    ``cache_dir`` is the result-store directory
+    (:mod:`repro.sweep.store`); None disables caching.
 
     The robustness knobs resolve explicit argument > ambient
     :func:`repro.sweep.faults.execution_policy` > module default
@@ -1247,7 +1236,7 @@ def run_cells(
         faults = FaultPlan.from_env()
     if faults is not None and not faults.enabled:
         faults = None
-    cache: CacheStore | None = open_store(cache_dir) if cache_dir else None
+    cache = open_store(cache_dir) if cache_dir else None
     try:
         return _run_cells_with_store(
             cells, cache, jobs, progress, chunk_lanes, walk_chunk_walkers,
@@ -1261,7 +1250,7 @@ def run_cells(
 
 def _run_cells_with_store(
     cells: Sequence,
-    cache: CacheStore | None,
+    cache: ResultStore | None,
     jobs: int,
     progress: ProgressFn | None,
     chunk_lanes: int,
@@ -1290,9 +1279,7 @@ def _run_cells_with_store(
     misses: list = []
     with obs.span("cache.get", cells=total, enabled=cache is not None):
         if cache is not None:
-            # One batched probe for the whole plan: the SQLite backend
-            # answers it with a few indexed queries per shard, the JSON
-            # tree with its historical per-cell reads.
+            # One batched probe for the whole plan.
             found, statuses = cache.lookup_many(unique)
             metrics_by_hash.update(found)
             cached_hashes.update(found)
@@ -1311,9 +1298,6 @@ def _run_cells_with_store(
             "cache.hits": hits,
             "cache.misses": probe_misses,
             "cache.corrupt": corrupt,
-            f"cache.{cache.backend}.hits": hits,
-            f"cache.{cache.backend}.misses": probe_misses,
-            f"cache.{cache.backend}.corrupt": corrupt,
         })
         if corrupt:
             # Self-healing: evict the corrupt rows now, so even a run
@@ -1360,7 +1344,7 @@ def _run_cells_with_store(
             for config_hash, metrics in pairs:
                 metrics_by_hash[config_hash] = metrics
             if cache is not None:
-                # One transaction per chunk instead of N file replaces.
+                # One transaction per chunk.
                 cache.put_many(
                     [(by_hash[h], metrics) for h, metrics in pairs]
                 )

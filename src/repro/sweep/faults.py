@@ -234,31 +234,18 @@ def apply_chunk_faults(
 def corrupt_rows_in_store(store, hashes: Sequence[str]) -> int:
     """Tamper with committed rows, the way real corruption would.
 
-    JSON backend: the entry file is truncated mid-payload (the
-    half-written-file failure mode the tree historically suffered).
-    SQLite backend: the row's metrics text is replaced with non-JSON
-    bytes (external tampering; WAL rules out torn writes).  Either way
-    the next probe reports ``corrupt`` and the executor quarantines
-    and recomputes the cell.  Returns the number of rows tampered.
+    Each row's metrics text is replaced with non-JSON bytes (external
+    tampering; WAL rules out torn writes), so the next probe reports
+    ``corrupt`` and the executor quarantines and recomputes the cell.
+    Returns the number of rows tampered.
     """
     tampered = 0
-    if store.backend == "json":
-        for config_hash in hashes:
-            path = store.path(config_hash)
-            try:
-                with open(path, "r+") as handle:
-                    handle.truncate(max(1, os.path.getsize(path) // 2))
-            except OSError:
-                continue
-            tampered += 1
-    else:
-        for config_hash in hashes:
-            conn = store._conn(store.shard_of(config_hash))
-            cursor = conn.execute(
-                "UPDATE cells SET metrics = ? WHERE hash = ?",
-                (f'{{"injected-corruption": {config_hash}', config_hash),
-            )
-            tampered += cursor.rowcount
+    for config_hash in hashes:
+        cursor = store._conn.execute(
+            "UPDATE cells SET metrics = ? WHERE hash = ?",
+            (f'{{"injected-corruption": {config_hash}', config_hash),
+        )
+        tampered += cursor.rowcount
     return tampered
 
 

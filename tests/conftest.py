@@ -31,3 +31,58 @@ def random_ring_setup(
     directions = [int(d) for d in rng.choice((1, -1), size=n)]
     agents = [int(a) for a in rng.integers(0, n, size=k)]
     return n, directions, agents
+
+
+def _litter_legacy_layout(directory: str, layout: str, cells) -> None:
+    """Leave what a retired store layout wrote for ``cells`` in ``directory``.
+
+    ``layout`` is ``"json"`` (the one-file-per-cell ``<hh>/<hash>.json``
+    tree, plus a writer's ``.tmp.<pid>`` leftover) or ``"sqlite"`` (the
+    16-shard ``shard-<nibble>.db`` files).  Every leftover carries the
+    cell's true identity but a ``{"cover": -1}`` payload no simulation
+    produces, so a store that served any of them would be caught.
+    """
+    import json
+    import os
+    import sqlite3
+
+    os.makedirs(directory, exist_ok=True)
+    for cell in cells:
+        entry = {"config": cell.identity(), "metrics": {"cover": -1}}
+        config_hash = cell.config_hash
+        if layout == "json":
+            path = os.path.join(
+                directory, config_hash[:2], f"{config_hash}.json"
+            )
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "w") as handle:
+                json.dump(entry, handle, sort_keys=True)
+            with open(f"{path}.tmp.{2**22 + 5}", "w") as handle:
+                handle.write('{"config": {}, "metr')
+            continue
+        assert layout == "sqlite", layout
+        conn = sqlite3.connect(
+            os.path.join(directory, f"shard-{config_hash[0]}.db")
+        )
+        conn.execute(
+            "CREATE TABLE IF NOT EXISTS cells (hash TEXT PRIMARY KEY, "
+            "config TEXT NOT NULL, metrics TEXT NOT NULL)"
+        )
+        conn.execute("PRAGMA user_version = 1")
+        conn.execute(
+            "INSERT OR REPLACE INTO cells VALUES (?, ?, ?)",
+            (
+                config_hash,
+                json.dumps(entry["config"], sort_keys=True),
+                json.dumps(entry["metrics"]),
+            ),
+        )
+        conn.commit()
+        conn.close()
+
+
+@pytest.fixture
+def litter_legacy_layout():
+    """:func:`_litter_legacy_layout`, for store tests parametrized by
+    the retired layout their cache directory already holds."""
+    return _litter_legacy_layout

@@ -1,7 +1,9 @@
 """Executor semantics: metrics, caching, parallelism, progress."""
 
+import hashlib
 import json
 import os
+import sqlite3
 
 import pytest
 
@@ -9,12 +11,12 @@ from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.randomwalk.ring_walk import RingRandomWalks
 from repro.sweep.executor import (
-    ResultCache,
     _plan_chunks,
     compute_chunk,
     run_sweep,
 )
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
+from repro.sweep.store import STORE_FILE, open_store, verify_store
 
 
 def _cover_spec(**overrides):
@@ -439,122 +441,177 @@ class TestCache:
         assert grown.cache_misses == grown.cache_hits
 
     def test_entries_are_inspectable_json(self, tmp_path):
+        # Each row's config text is the cell's canonical identity JSON,
+        # readable with nothing but the sqlite3 module.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        assert len(cache) == spec.num_configs
+        rows = _rows(cache_dir)
+        assert len(rows) == spec.num_configs
         config = spec.configs()[0]
-        with open(cache.path(config.config_hash)) as handle:
-            entry = json.load(handle)
-        assert entry["config"] == config.identity()
-        assert entry["metrics"]["cover"] > 0
+        config_text, metrics_text = rows[config.config_hash]
+        assert config_text == json.dumps(
+            config.identity(), sort_keys=True, separators=(",", ":")
+        )
+        assert json.loads(metrics_text)["cover"] > 0
 
     def test_corrupt_entry_is_recomputed(self, tmp_path):
+        # Garbage and non-dict metrics both probe as corrupt; the rerun
+        # quarantines, recomputes and overwrites exactly those rows.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
-        run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim = cache.path(spec.configs()[0].config_hash)
-        with open(victim, "w") as handle:
-            handle.write("not json{")
+        baseline = run_sweep(spec, cache_dir=cache_dir)
+        garbage, non_dict = spec.configs()[:2]
+        _set_row(cache_dir, garbage.config_hash, metrics="not json{")
+        _set_row(cache_dir, non_dict.config_hash, metrics="[1, 2]")
+        store = open_store(cache_dir)
+        _, statuses = store.lookup_many(spec.configs())
+        store.close()
+        assert statuses[garbage.config_hash] == "corrupt"
+        assert statuses[non_dict.config_hash] == "corrupt"
         result = run_sweep(spec, cache_dir=cache_dir)
-        assert result.cache_misses == 1
-        assert result.cache_hits == spec.num_configs - 1
+        assert result.cache_misses == 2
+        assert result.cache_hits == spec.num_configs - 2
+        assert _stored_metrics(cache_dir) == _stored_metrics_of(baseline)
 
     def test_mismatched_identity_is_a_miss(self, tmp_path):
+        # Probes trust the key (rows only enter through put_many); a
+        # row whose stored identity no longer digests to its key is
+        # caught by the integrity scan, and once repaired the cell is a
+        # miss that the next sweep recomputes.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim = cache.path(spec.configs()[0].config_hash)
-        with open(victim) as handle:
-            entry = json.load(handle)
-        entry["config"]["n"] = 999  # hash collision simulation
-        with open(victim, "w") as handle:
-            json.dump(entry, handle)
+        victim = spec.configs()[0]
+        tampered = dict(victim.identity(), n=999)  # collision simulation
+        _set_row(cache_dir, victim.config_hash, config=json.dumps(tampered))
+        assert verify_store(cache_dir).corrupt == 1
+        assert verify_store(cache_dir, repair=True).repaired == 1
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == 1
+        assert verify_store(cache_dir).ok
 
     def test_no_cache_dir_means_no_files(self, tmp_path):
         run_sweep(_cover_spec(ns=(16,), ks=(2,)), cache_dir=None)
         assert list(tmp_path.iterdir()) == []
 
     def test_truncated_json_is_a_miss_and_overwritten(self, tmp_path):
-        # A partial write (e.g. a killed process without the atomic
-        # rename) must count as a miss and be transparently recomputed.
+        # A row whose metrics text lost its tail must count as a miss
+        # and be transparently recomputed and overwritten.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
         baseline = run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
-        victim_config = spec.configs()[0]
-        victim = cache.path(victim_config.config_hash)
-        with open(victim) as handle:
-            intact = handle.read()
-        with open(victim, "w") as handle:
-            handle.write(intact[: len(intact) // 2])
-        assert cache.get(victim_config) is None
+        victim = spec.configs()[0].config_hash
+        intact = _rows(cache_dir)[victim][1]
+        _set_row(cache_dir, victim, metrics=intact[: len(intact) // 2])
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == 1
-        with open(victim) as handle:
-            assert json.load(handle)["metrics"] == baseline.results[0].metrics
+        assert _rows(cache_dir)[victim][1] == intact
+        assert json.loads(intact) == baseline.results[0].metrics
 
     def test_entry_mismatching_filename_hash_is_a_miss(self, tmp_path):
-        # A valid entry sitting at another config's path (wrong filename
-        # hash) must not be served for that config.
+        # Another cell's row copied under this cell's key: its config
+        # digests to the other hash, so the scan flags it, and after
+        # repair the cell is recomputed rather than served.
         spec = _cover_spec(ns=(16,), ks=(2, 3))
         cache_dir = str(tmp_path / "cache")
-        run_sweep(spec, cache_dir=cache_dir)
-        cache = ResultCache(cache_dir)
+        baseline = run_sweep(spec, cache_dir=cache_dir)
         first, second = spec.configs()[:2]
-        with open(cache.path(second.config_hash)) as handle:
-            foreign = handle.read()
-        with open(cache.path(first.config_hash), "w") as handle:
-            handle.write(foreign)
-        assert cache.get(first) is None
+        config_text, metrics_text = _rows(cache_dir)[second.config_hash]
+        _set_row(
+            cache_dir, first.config_hash,
+            config=config_text, metrics=metrics_text,
+        )
+        report = verify_store(cache_dir, repair=True)
+        assert (report.corrupt, report.repaired) == (1, 1)
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == 1
+        assert _stored_metrics(cache_dir) == _stored_metrics_of(baseline)
 
     def test_leftover_tmp_file_is_ignored_and_recomputed(self, tmp_path):
-        # A stale .tmp.<pid> file (crashed writer) in the hash-prefix
-        # directory is not an entry: the cell is a miss, recomputed, and
-        # the real entry lands next to the leftover.
+        # What the one-file-per-cell layout left behind — an entry file
+        # and a crashed writer's .tmp.<pid> — is not a row: the cells
+        # are computed, and the leftovers stay untouched.
         spec = _cover_spec(ns=(16,), ks=(2,))
-        cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
+        cache_dir = tmp_path / "cache"
         config = spec.configs()[0]
-        path = cache.path(config.config_hash)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        stale = f"{path}.tmp.99999"
-        with open(stale, "w") as handle:
-            handle.write('{"config": {}, "metr')
-        assert cache.get(config) is None
-        assert len(cache) == 0  # tmp files are not entries
-        result = run_sweep(spec, cache_dir=cache_dir)
+        entry = cache_dir / config.config_hash[:2] / (
+            f"{config.config_hash}.json"
+        )
+        entry.parent.mkdir(parents=True)
+        entry.write_text(json.dumps(
+            {"config": config.identity(), "metrics": {"cover": -12345}}
+        ))
+        stale = entry.with_name(f"{entry.name}.tmp.99999")
+        stale.write_text('{"config": {}, "metr')
+        result = run_sweep(spec, cache_dir=str(cache_dir))
         assert result.cache_misses == spec.num_configs
-        with open(path) as handle:
-            assert json.load(handle)["config"] == config.identity()
+        assert result.results[0].metrics["cover"] != -12345
+        assert stale.read_text() == '{"config": {}, "metr'
+        assert json.loads(entry.read_text())["metrics"] == {"cover": -12345}
 
     def test_v1_schema_entries_are_never_served(self, tmp_path):
-        # Simulate a pre-bump cache: an entry whose config block carries
-        # schema 1 must be a miss even if planted at the current path.
+        # A row written under a schema-1 identity is keyed by that
+        # identity's own hash, which no current cell probes.
         spec = _cover_spec(ns=(16,), ks=(2,))
         cache_dir = str(tmp_path / "cache")
-        cache = ResultCache(cache_dir)
+        open_store(cache_dir).close()
         config = spec.configs()[0]
-        stale_identity = dict(config.identity(), schema=1)
-        path = cache.path(config.config_hash)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(
-                {"config": stale_identity, "metrics": {"cover": -12345}},
-                handle,
-            )
-        assert cache.get(config) is None
+        stale_text = json.dumps(
+            dict(config.identity(), schema=1),
+            sort_keys=True, separators=(",", ":"),
+        )
+        stale_hash = hashlib.sha256(stale_text.encode("utf-8")).hexdigest()
+        assert stale_hash != config.config_hash
+        conn = sqlite3.connect(os.path.join(cache_dir, STORE_FILE))
+        conn.execute(
+            "INSERT INTO cells VALUES (?, ?, ?)",
+            (stale_hash, stale_text, '{"cover":-12345}'),
+        )
+        conn.commit()
+        conn.close()
         result = run_sweep(spec, cache_dir=cache_dir)
         assert result.cache_misses == spec.num_configs
         for cell in result.results:
             assert cell.metrics["cover"] != -12345
+
+
+def _rows(cache_dir: str) -> dict[str, tuple[str, str]]:
+    """``hash -> (config text, metrics text)`` of every stored row."""
+    conn = sqlite3.connect(os.path.join(cache_dir, STORE_FILE))
+    try:
+        return {
+            row_hash: (config, metrics)
+            for row_hash, config, metrics in conn.execute(
+                "SELECT hash, config, metrics FROM cells"
+            )
+        }
+    finally:
+        conn.close()
+
+
+def _set_row(cache_dir: str, config_hash: str, **texts: str) -> None:
+    """Overwrite columns of one stored row from outside the store."""
+    conn = sqlite3.connect(os.path.join(cache_dir, STORE_FILE))
+    for column, text in texts.items():
+        assert column in ("config", "metrics"), column
+        conn.execute(
+            f"UPDATE cells SET {column} = ? WHERE hash = ?",
+            (text, config_hash),
+        )
+    conn.commit()
+    conn.close()
+
+
+def _stored_metrics(cache_dir: str) -> dict[str, dict]:
+    return {
+        row_hash: json.loads(metrics)
+        for row_hash, (_, metrics) in _rows(cache_dir).items()
+    }
+
+
+def _stored_metrics_of(result) -> dict[str, dict]:
+    return {cell.config.config_hash: cell.metrics for cell in result.results}
 
 
 class TestParallel:

@@ -4,10 +4,10 @@ The chaos acceptance suite for the fault-tolerant executor: seeded
 :class:`repro.sweep.faults.FaultPlan` injections (worker crash, poison
 cell, chunk delay past its deadline, corrupted store row) must leave
 ``run_cells`` finishing with exactly the poison cell quarantined and
-every other metric bit-identical to a fault-free run — under both
-store backends and both ``jobs=1``/``jobs=2`` — plus interrupt
-safety, serial degradation, progress accounting and the
-``repro cache verify`` CLI.
+every other metric bit-identical to a fault-free run — with
+``jobs=1`` and ``jobs=2``, in cache directories that also hold either
+retired store layout — plus interrupt safety, serial degradation,
+progress accounting and the ``repro cache verify`` CLI.
 """
 
 import glob
@@ -34,7 +34,9 @@ from repro.sweep.faults import (
 from repro.sweep.spec import InitFamily, ScenarioSpec
 from repro.sweep.store import open_store, verify_store
 
-BACKENDS = ("json", "sqlite")
+#: Retired store layouts a cache directory may still hold (see the
+#: ``litter_legacy_layout`` fixture); the store must ignore them.
+LEGACY_LAYOUTS = ("json", "sqlite")
 
 
 def _spec(**overrides):
@@ -52,9 +54,10 @@ def _spec(**overrides):
     return ScenarioSpec(**base)
 
 
-def _store_spec(backend: str, tmp_path) -> str:
-    directory = str(tmp_path / f"cache-{backend}")
-    return directory if backend == "json" else f"sqlite://{directory}"
+def _littered_cache(tmp_path, legacy, litter, cells) -> str:
+    directory = str(tmp_path / "cache")
+    litter(directory, legacy, cells)
+    return directory
 
 
 def _baseline(cells) -> dict:
@@ -111,9 +114,11 @@ class TestFaultPlan:
 class TestChaosSuite:
     """The acceptance scenario: crash + poison + delay + corrupt row."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("legacy", LEGACY_LAYOUTS)
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_survives_and_heals(self, tmp_path, backend, jobs):
+    def test_survives_and_heals(
+        self, tmp_path, legacy, jobs, litter_legacy_layout
+    ):
         cells = _spec().configs()
         assert len(cells) == 8
         baseline = _baseline(cells)
@@ -126,7 +131,9 @@ class TestChaosSuite:
             delay_chunks=((0, 0.05),),
             corrupt_rows=(tampered,),
         )
-        cache_dir = _store_spec(backend, tmp_path)
+        cache_dir = _littered_cache(
+            tmp_path, legacy, litter_legacy_layout, cells
+        )
 
         metrics, cached, report = run_cells(
             cells, jobs=jobs, cache_dir=cache_dir, faults=plan,
@@ -148,15 +155,14 @@ class TestChaosSuite:
 
         # The tampered row is caught by a full scan, and a fault-free
         # rerun recomputes exactly the quarantined + corrupt cells.
-        directory = cache_dir.removeprefix("sqlite://")
-        assert verify_store(directory).corrupt == 1
+        assert verify_store(cache_dir).corrupt == 1
         metrics2, cached2, report2 = run_cells(
             cells, jobs=jobs, cache_dir=cache_dir
         )
         assert report2.clean
         assert metrics2 == baseline
         assert len(cached2) == len(cells) - 2
-        assert verify_store(directory).ok
+        assert verify_store(cache_dir).ok
 
     def test_flaky_chunk_retries_transparently(self, tmp_path):
         cells = _spec().configs()
@@ -299,13 +305,16 @@ class TestAccounting:
 
 
 class TestInterruptSafety:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("legacy", LEGACY_LAYOUTS)
     @pytest.mark.parametrize("jobs", (1, 2))
-    def test_interrupt_between_commits(self, tmp_path, backend, jobs):
+    def test_interrupt_between_commits(
+        self, tmp_path, legacy, jobs, litter_legacy_layout
+    ):
         cells = _spec().configs()
         baseline = _baseline(cells)
-        cache_dir = _store_spec(backend, tmp_path)
-        directory = cache_dir.removeprefix("sqlite://")
+        cache_dir = _littered_cache(
+            tmp_path, legacy, litter_legacy_layout, cells
+        )
         segments_before = set(glob.glob("/dev/shm/repro-*"))
 
         class Interrupt(KeyboardInterrupt):
@@ -323,7 +332,7 @@ class TestInterruptSafety:
         # No shared-memory segment outlives the interrupted call.
         assert set(glob.glob("/dev/shm/repro-*")) <= segments_before
         # Committed chunks are fully readable, nothing is torn.
-        assert verify_store(directory).ok
+        assert verify_store(cache_dir).ok
         store = open_store(cache_dir)
         try:
             committed = store.count()
@@ -340,17 +349,20 @@ class TestInterruptSafety:
 
 
 class TestVerifyCli:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_verify_reports_and_repairs(self, tmp_path, backend, capsys):
+    @pytest.mark.parametrize("legacy", LEGACY_LAYOUTS)
+    def test_verify_reports_and_repairs(
+        self, tmp_path, legacy, capsys, litter_legacy_layout
+    ):
         cells = _spec().configs()
-        cache_dir = _store_spec(backend, tmp_path)
-        directory = cache_dir.removeprefix("sqlite://")
-        run_cells(cells, cache_dir=cache_dir)
+        directory = _littered_cache(
+            tmp_path, legacy, litter_legacy_layout, cells
+        )
+        run_cells(cells, cache_dir=directory)
         assert main(["cache", "verify", directory]) == 0
         out = capsys.readouterr().out
-        assert f"backend={backend} checked={len(cells)} corrupt=0" in out
+        assert f"checked={len(cells)} corrupt=0 repaired=0" in out
 
-        store = open_store(cache_dir)
+        store = open_store(directory)
         try:
             corrupt_rows_in_store(store, [cells[0].config_hash])
         finally:
@@ -362,15 +374,9 @@ class TestVerifyCli:
         assert main(["cache", "verify", directory]) == 0
 
         # The quarantined row is recomputed (and overwritten) on rerun.
-        _, cached, report = run_cells(cells, cache_dir=cache_dir)
+        _, cached, report = run_cells(cells, cache_dir=directory)
         assert report.clean
         assert len(cached) == len(cells) - 1
-
-    def test_verify_absent_directory_is_vacuously_clean(
-        self, tmp_path, capsys
-    ):
-        assert main(["cache", "verify", str(tmp_path / "nope")]) == 0
-        assert "checked=0 corrupt=0" in capsys.readouterr().out
 
 
 class TestSweepCliFaults:

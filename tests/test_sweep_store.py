@@ -1,6 +1,5 @@
-"""Result-store backends: protocol, equivalence, migration, tooling."""
+"""The result store: round trips, corruption, leftovers, tooling, CLI."""
 
-import json
 import multiprocessing
 import os
 import random
@@ -12,19 +11,18 @@ from repro.cli import main
 from repro.sweep.executor import run_sweep
 from repro.sweep.spec import InitFamily, ScenarioSpec, SweepConfig
 from repro.sweep.store import (
+    STORE_FILE,
     STORE_SCHEMA_VERSION,
-    JsonTreeStore,
-    SqliteStore,
-    detect_backend,
-    format_store_spec,
-    migrate_json_to_sqlite,
+    StoreOpenError,
     open_store,
-    parse_store_spec,
     store_info,
     vacuum_store,
+    verify_store,
 )
 
-BACKENDS = {"json": JsonTreeStore, "sqlite": SqliteStore}
+#: Store layouts of earlier versions that a cache directory may still
+#: hold; the store must ignore them (see ``litter_legacy_layout``).
+LEGACY_LAYOUTS = ("json", "sqlite")
 
 
 def _config(seed: int, **overrides) -> SweepConfig:
@@ -56,49 +54,39 @@ def _cover_spec(**overrides) -> ScenarioSpec:
     return ScenarioSpec(**base)
 
 
+def _tamper(directory, config_hash, metrics_text):
+    """Overwrite one row's metrics from outside the store."""
+    conn = sqlite3.connect(os.path.join(directory, STORE_FILE))
+    conn.execute(
+        "UPDATE cells SET metrics = ? WHERE hash = ?",
+        (metrics_text, config_hash),
+    )
+    conn.commit()
+    conn.close()
+
+
 class TestSpecStrings:
-    def test_plain_path_is_json(self):
-        assert parse_store_spec("/some/dir") == ("json", "/some/dir")
-
-    def test_prefixed_specs(self):
-        assert parse_store_spec("sqlite:///d/c") == ("sqlite", "/d/c")
-        assert parse_store_spec("json://rel/c") == ("json", "rel/c")
-
-    def test_unknown_scheme_rejected(self):
-        with pytest.raises(ValueError, match="unknown store backend"):
-            parse_store_spec("redis://host/db")
+    """The cache path is a plain directory; an empty one is refused."""
 
     def test_empty_directory_rejected(self):
-        with pytest.raises(ValueError, match="names no directory"):
-            parse_store_spec("sqlite://")
-
-    def test_format_round_trips(self):
-        for backend in BACKENDS:
-            spec = format_store_spec(backend, "/d/c")
-            assert parse_store_spec(spec) == (backend, "/d/c")
-        with pytest.raises(ValueError, match="unknown store backend"):
-            format_store_spec("redis", "/d/c")
-
-    def test_open_store_dispatches(self, tmp_path):
-        json_store = open_store(str(tmp_path / "a"))
-        sqlite_store = open_store(f"sqlite://{tmp_path / 'b'}")
-        assert isinstance(json_store, JsonTreeStore)
-        assert isinstance(sqlite_store, SqliteStore)
-        sqlite_store.close()
-
-    def test_detect_backend(self, tmp_path):
-        assert detect_backend(str(tmp_path / "absent")) == "json"
-        store = SqliteStore(str(tmp_path / "db"))
-        store.put(_config(0), {"cover": 1})
-        store.close()
-        assert detect_backend(str(tmp_path / "db")) == "sqlite"
+        with pytest.raises(StoreOpenError, match="names no directory"):
+            open_store("")
 
 
-@pytest.mark.parametrize("backend", sorted(BACKENDS))
+@pytest.mark.parametrize("legacy", LEGACY_LAYOUTS)
 class TestRoundTrip:
-    def test_put_many_lookup_many(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    """Round trips in a directory an earlier store layout also used."""
+
+    def _store(self, tmp_path, legacy, litter, cells):
+        directory = str(tmp_path / "cache")
+        litter(directory, legacy, cells)
+        return open_store(directory)
+
+    def test_put_many_lookup_many(self, legacy, tmp_path,
+                                  litter_legacy_layout):
         cells = [_config(seed) for seed in range(20)]
+        store = self._store(tmp_path, legacy, litter_legacy_layout, cells)
+        assert store.lookup_many(cells)[0] == {}
         store.put_many([(c, {"cover": c.seed * 3}) for c in cells])
         found, statuses = store.lookup_many(cells)
         assert len(found) == 20
@@ -106,13 +94,13 @@ class TestRoundTrip:
         for cell in cells:
             assert found[cell.config_hash] == {"cover": cell.seed * 3}
         assert store.count() == 20
-        assert len(store) == 20
         store.close()
 
-    def test_missing_cells_report_miss(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_missing_cells_report_miss(self, legacy, tmp_path,
+                                       litter_legacy_layout):
         present = [_config(seed) for seed in range(4)]
         absent = [_config(seed) for seed in range(100, 104)]
+        store = self._store(tmp_path, legacy, litter_legacy_layout, absent)
         store.put_many([(c, {"cover": 1}) for c in present])
         found, statuses = store.lookup_many(present + absent)
         assert set(found) == {c.config_hash for c in present}
@@ -120,79 +108,45 @@ class TestRoundTrip:
             assert statuses[cell.config_hash] == "miss"
         store.close()
 
-    def test_duplicate_probes_collapse(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_duplicate_probes_collapse(self, legacy, tmp_path,
+                                       litter_legacy_layout):
         cell = _config(7)
-        store.put(cell, {"cover": 9})
+        store = self._store(tmp_path, legacy, litter_legacy_layout, [cell])
+        store.put_many([(cell, {"cover": 9})])
         found, statuses = store.lookup_many([cell, cell, cell])
         assert found == {cell.config_hash: {"cover": 9}}
         assert statuses == {cell.config_hash: "hit"}
         store.close()
 
-    def test_put_replaces(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_put_replaces(self, legacy, tmp_path, litter_legacy_layout):
         cell = _config(1)
-        store.put(cell, {"cover": 1})
-        store.put(cell, {"cover": 2})
-        assert store.get(cell) == {"cover": 2}
+        store = self._store(tmp_path, legacy, litter_legacy_layout, [cell])
+        store.put_many([(cell, {"cover": 1})])
+        store.put_many([(cell, {"cover": 2})])
+        assert store.lookup_many([cell])[0] == {
+            cell.config_hash: {"cover": 2}
+        }
         assert store.count() == 1
         store.close()
 
-    def test_close_is_idempotent(self, backend, tmp_path):
-        store = BACKENDS[backend](str(tmp_path / backend))
+    def test_close_is_idempotent(self, legacy, tmp_path,
+                                 litter_legacy_layout):
+        store = self._store(tmp_path, legacy, litter_legacy_layout, [])
         store.close()
         store.close()
 
 
 class TestCorruptEntries:
-    def test_json_garbage_file_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 5})
-        with open(path, "w") as handle:
-            handle.write("{not json")
-        found, statuses = store.lookup_many([cell])
-        assert found == {}
-        assert statuses == {cell.config_hash: "corrupt"}
-
-    def test_json_identity_mismatch_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell, other = _config(0), _config(1)
-        path = store.put(cell, {"cover": 5})
-        # An entry filed under cell's hash but carrying other's
-        # identity: served to neither.
-        entry = {"config": other.identity(), "metrics": {"cover": 5}}
-        with open(path, "w") as handle:
-            json.dump(entry, handle)
-        assert store.lookup(cell) == (None, "corrupt")
-
-    def test_json_non_dict_metrics_reports_corrupt(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 5})
-        with open(path, "w") as handle:
-            json.dump({"config": cell.identity(), "metrics": [1, 2]}, handle)
-        assert store.lookup(cell) == (None, "corrupt")
-
-    def _tamper(self, directory, config_hash, metrics_text):
-        store = SqliteStore(directory)
-        shard = store.shard_of(config_hash)
-        conn = store._conn(shard)
-        conn.execute("BEGIN IMMEDIATE")
-        conn.execute(
-            "UPDATE cells SET metrics = ? WHERE hash = ?",
-            (metrics_text, config_hash),
-        )
-        conn.execute("COMMIT")
+    def _filled(self, tmp_path, cells):
+        store = open_store(str(tmp_path))
+        store.put_many([(c, {"cover": c.seed}) for c in cells])
         store.close()
 
     def test_sqlite_unparseable_metrics_reports_corrupt(self, tmp_path):
         cells = [_config(seed) for seed in range(6)]
-        store = SqliteStore(str(tmp_path))
-        store.put_many([(c, {"cover": c.seed}) for c in cells])
-        store.close()
-        self._tamper(str(tmp_path), cells[2].config_hash, "{broken")
-        store = SqliteStore(str(tmp_path))
+        self._filled(tmp_path, cells)
+        _tamper(str(tmp_path), cells[2].config_hash, "{broken")
+        store = open_store(str(tmp_path))
         found, statuses = store.lookup_many(cells)
         assert statuses[cells[2].config_hash] == "corrupt"
         assert cells[2].config_hash not in found
@@ -205,130 +159,78 @@ class TestCorruptEntries:
 
     def test_sqlite_non_dict_metrics_reports_corrupt(self, tmp_path):
         cells = [_config(seed) for seed in range(6)]
-        store = SqliteStore(str(tmp_path))
-        store.put_many([(c, {"cover": c.seed}) for c in cells])
-        store.close()
-        self._tamper(str(tmp_path), cells[4].config_hash, "[1,2,3]")
-        store = SqliteStore(str(tmp_path))
+        self._filled(tmp_path, cells)
+        _tamper(str(tmp_path), cells[4].config_hash, "[1,2,3]")
+        store = open_store(str(tmp_path))
         found, statuses = store.lookup_many(cells)
         assert statuses[cells[4].config_hash] == "corrupt"
         assert cells[4].config_hash not in found
         assert len(found) == 5
+        # A sparse probe (the IN-list path) agrees with the scan.
+        assert store.lookup_many(cells[4:5]) == (
+            {}, {cells[4].config_hash: "corrupt"}
+        )
+        store.close()
+
+    def test_json_identity_mismatch_reports_corrupt(self, tmp_path):
+        # A row filed under cell's hash but carrying other's identity
+        # JSON: probes trust the key, the integrity scan does not.
+        cell, other = _config(0), _config(1)
+        self._filled(tmp_path, [cell, other])
+        conn = sqlite3.connect(str(tmp_path / STORE_FILE))
+        conn.execute(
+            "UPDATE cells SET config = (SELECT config FROM cells "
+            "WHERE hash = ?) WHERE hash = ?",
+            (other.config_hash, cell.config_hash),
+        )
+        conn.commit()
+        conn.close()
+        report = verify_store(str(tmp_path), repair=True)
+        assert (report.checked, report.corrupt, report.repaired) == (2, 1, 1)
+        store = open_store(str(tmp_path))
+        assert store.lookup_many([cell])[1] == {cell.config_hash: "miss"}
         store.close()
 
     def test_sqlite_schema_mismatch_refuses(self, tmp_path):
-        store = SqliteStore(str(tmp_path))
         cell = _config(0)
-        store.put(cell, {"cover": 1})
-        shard_path = store.shard_path(store.shard_of(cell.config_hash))
-        store.close()
-        conn = sqlite3.connect(shard_path)
+        self._filled(tmp_path, [cell])
+        conn = sqlite3.connect(str(tmp_path / STORE_FILE))
         conn.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION + 41}")
         conn.close()
-        fresh = SqliteStore(str(tmp_path))
-        with pytest.raises(ValueError, match="schema"):
-            fresh.lookup_many([cell])
+        with pytest.raises(StoreOpenError, match="schema 42"):
+            open_store(str(tmp_path))
 
 
 class TestStaleTmpSweep:
-    def test_dead_writer_tmp_swept_on_open(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        # Pid 1 is init (not ours, alive) and 2**22+5 is far beyond
-        # pid_max defaults — a crashed writer's leftover.
-        dead = f"{path}.tmp.{2**22 + 5}"
-        with open(dead, "w") as handle:
-            handle.write("{partial")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 1
-        assert not os.path.exists(dead)
-        assert reopened.get(cell) == {"cover": 1}
+    """The store never reads or removes files it did not write."""
 
     def test_live_writer_tmp_left_alone(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        live = f"{path}.tmp.{os.getpid()}"
-        with open(live, "w") as handle:
-            handle.write("{in-flight")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 0
-        assert os.path.exists(live)
-        assert reopened.count_tmp() == 1
+        live = tmp_path / "ab" / f"ab12.json.tmp.{os.getpid()}"
+        live.parent.mkdir()
+        live.write_text("{in-flight")
+        store = open_store(str(tmp_path))
+        store.put_many([(_config(0), {"cover": 1})])
+        store.close()
+        assert live.read_text() == "{in-flight"
 
     def test_foreign_tmp_names_ignored(self, tmp_path):
-        store = JsonTreeStore(str(tmp_path))
-        cell = _config(0)
-        path = store.put(cell, {"cover": 1})
-        foreign = f"{path}.tmp.editor-backup"
-        with open(foreign, "w") as handle:
-            handle.write("x")
-        reopened = JsonTreeStore(str(tmp_path))
-        assert reopened.swept_on_open == 0
-        assert os.path.exists(foreign)
-
-
-class TestMigration:
-    def test_round_trip_identical_lookup(self, tmp_path):
-        cells = [_config(seed) for seed in range(30)]
-        source = JsonTreeStore(str(tmp_path / "json"))
-        source.put_many([(c, {"cover": c.seed + 100}) for c in cells])
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
-        assert report.migrated == 30
-        assert report.corrupt == 0
-        assert report.summary_line() == "migrated=30 corrupt=0"
-        dest = SqliteStore(str(tmp_path / "db"))
-        json_view = source.lookup_many(cells)
-        sqlite_view = dest.lookup_many(cells)
-        assert sqlite_view == json_view
-        assert dest.count() == source.count() == 30
-        dest.close()
-
-    def test_corrupt_source_entry_skipped_and_counted(self, tmp_path):
-        cells = [_config(seed) for seed in range(5)]
-        source = JsonTreeStore(str(tmp_path / "json"))
-        source.put_many([(c, {"cover": c.seed}) for c in cells])
-        # Corrupt one entry in place: its stored identity no longer
-        # digests to its filename hash.
-        broken = cells[3]
-        with open(source.path(broken.config_hash), "w") as handle:
-            json.dump(
-                {"config": cells[0].identity(), "metrics": {"cover": 0}},
-                handle,
-            )
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
-        assert report.migrated == 4
-        assert report.corrupt == 1
-        dest = SqliteStore(str(tmp_path / "db"))
-        found, statuses = dest.lookup_many(cells)
-        # The corrupt entry was never migrated: a clean miss, to be
-        # recomputed.  The valid ones hit identically.
-        assert statuses[broken.config_hash] == "miss"
-        for cell in cells:
-            if cell is not broken:
-                assert found[cell.config_hash] == {"cover": cell.seed}
-        dest.close()
-
-    def test_unreadable_source_file_counts_corrupt(self, tmp_path):
-        source = JsonTreeStore(str(tmp_path / "json"))
-        cell = _config(0)
-        path = source.put(cell, {"cover": 1})
-        with open(path, "w") as handle:
-            handle.write("{half a wri")
-        report = migrate_json_to_sqlite(
-            str(tmp_path / "json"), str(tmp_path / "db")
-        )
-        assert report.migrated == 0
-        assert report.corrupt == 1
+        foreign = tmp_path / "notes.tmp.editor-backup"
+        foreign.write_text("x")
+        store = open_store(str(tmp_path))
+        assert store.count() == 0
+        store.close()
+        assert sorted(os.listdir(tmp_path)) == [
+            STORE_FILE, "notes.tmp.editor-backup"
+        ]
 
 
 class TestBackendEquivalence:
-    """Randomized suite: both backends serve byte-identical answers."""
+    """Randomized suite: both probe paths answer like a dict model.
+
+    ``lookup_many`` scans the whole table for a dense probe and seeks
+    through ``IN`` lists for a sparse one; either way its answer must
+    be exactly what a plain dict of the stored rows gives.
+    """
 
     @pytest.mark.parametrize("trial", range(5))
     def test_randomized_probe_equivalence(self, trial, tmp_path):
@@ -342,48 +244,53 @@ class TestBackendEquivalence:
             for _ in range(40)
         ]
         stored = [c for c in pool if rng.random() < 0.6]
-        payloads = {
+        model = {
             c.config_hash: {"cover": rng.randrange(10_000), "n": c.n}
             for c in stored
         }
-        json_store = JsonTreeStore(str(tmp_path / "json"))
-        sqlite_store = SqliteStore(str(tmp_path / "sqlite"))
-        for store in (json_store, sqlite_store):
-            store.put_many([(c, payloads[c.config_hash]) for c in stored])
-        probe = list(pool)
-        rng.shuffle(probe)
-        json_view = json_store.lookup_many(probe)
-        sqlite_view = sqlite_store.lookup_many(probe)
-        assert sqlite_view == json_view
-        assert json_store.count() == sqlite_store.count()
-        hits = sum(1 for s in json_view[1].values() if s == "hit")
-        assert hits == len({c.config_hash for c in stored})
-        sqlite_store.close()
+        store = open_store(str(tmp_path))
+        store.put_many([(c, model[c.config_hash]) for c in stored])
+        for size in (len(pool), 3):  # dense (scan), sparse (IN lists)
+            probe = rng.sample(pool, size)
+            found, statuses = store.lookup_many(probe)
+            assert found == {
+                c.config_hash: model[c.config_hash]
+                for c in probe if c.config_hash in model
+            }
+            assert statuses == {
+                c.config_hash: "hit" if c.config_hash in model else "miss"
+                for c in probe
+            }
+        assert store.count() == len(model)
+        store.close()
 
 
 def _write_slice(args):
     directory, start = args
-    store = SqliteStore(directory)
+    store = open_store(directory)
     cells = [_config(seed) for seed in range(start, start + 25)]
-    store.put_many([(c, {"cover": c.seed}) for c in cells])
+    for cell in cells:  # one transaction each: many chances to collide
+        store.put_many([(cell, {"cover": cell.seed})])
     store.close()
     return len(cells)
 
 
 class TestConcurrentWriters:
     def test_two_processes_one_store(self, tmp_path):
-        # 50 cells across 16 shards guarantee both writers hit the
-        # same shard files; WAL + busy timeout serialize them.
+        # More writers than cores commit into the one database file;
+        # WAL and the busy timeout serialize their transactions, so no
+        # commit is lost.
         directory = str(tmp_path / "db")
-        with multiprocessing.Pool(processes=2) as pool:
-            written = pool.map(
-                _write_slice, [(directory, 0), (directory, 25)]
-            )
-        assert written == [25, 25]
-        store = SqliteStore(directory)
-        cells = [_config(seed) for seed in range(50)]
+        starts = [0, 25, 50, 75]
+        with multiprocessing.Pool(processes=len(starts)) as pool:
+            written = pool.map_async(
+                _write_slice, [(directory, start) for start in starts]
+            ).get(timeout=120)
+        assert written == [25] * len(starts)
+        store = open_store(directory)
+        cells = [_config(seed) for seed in range(100)]
         found, statuses = store.lookup_many(cells)
-        assert len(found) == 50
+        assert len(found) == 100
         assert all(status == "hit" for status in statuses.values())
         for cell in cells:
             assert found[cell.config_hash] == {"cover": cell.seed}
@@ -393,7 +300,7 @@ class TestConcurrentWriters:
 class TestExecutorIntegration:
     def test_run_sweep_sqlite_cache_hits_second_time(self, tmp_path):
         spec = _cover_spec()
-        cache = f"sqlite://{tmp_path / 'cache'}"
+        cache = str(tmp_path / "cache")
         first = run_sweep(spec, cache_dir=cache)
         assert first.cache_misses == spec.num_configs
         assert first.cache_hits == 0
@@ -401,21 +308,9 @@ class TestExecutorIntegration:
         assert second.cache_misses == 0
         assert second.cache_hits == spec.num_configs
 
-    def test_backends_render_identical_tables(self, tmp_path):
-        spec = _cover_spec()
-        json_result = run_sweep(spec, cache_dir=str(tmp_path / "json"))
-        sqlite_result = run_sweep(
-            spec, cache_dir=f"sqlite://{tmp_path / 'db'}", jobs=2
-        )
-        assert (
-            json_result.table().render() == sqlite_result.table().render()
-        )
-        for a, b in zip(json_result.results, sqlite_result.results):
-            assert a.metrics == b.metrics
-
     def test_warm_sqlite_rerun_serves_from_cache_alone(self, tmp_path):
         spec = _cover_spec(ns=(16,), ks=(2,))
-        cache = f"sqlite://{tmp_path / 'cache'}"
+        cache = str(tmp_path / "cache")
         run_sweep(spec, cache_dir=cache)
         warm = run_sweep(spec, cache_dir=cache)
         cold = run_sweep(spec, cache_dir=None)
@@ -425,92 +320,111 @@ class TestExecutorIntegration:
 
 
 class TestTooling:
-    def test_store_info_both_backends(self, tmp_path):
+    def test_store_info(self, tmp_path):
         cells = [_config(seed) for seed in range(8)]
-        json_dir = str(tmp_path / "json")
-        JsonTreeStore(json_dir).put_many([(c, {"cover": 1}) for c in cells])
-        db_dir = str(tmp_path / "db")
-        store = SqliteStore(db_dir)
+        directory = str(tmp_path / "db")
+        store = open_store(directory)
         store.put_many([(c, {"cover": 1}) for c in cells])
         store.close()
-        json_info = store_info(json_dir)
-        assert json_info["backend"] == "json"
-        assert json_info["entries"] == 8
-        assert json_info["tmp_files"] == 0
-        db_info = store_info(db_dir)
-        assert db_info["backend"] == "sqlite"
-        assert db_info["entries"] == 8
-        assert db_info["schema"] == STORE_SCHEMA_VERSION
-        assert db_info["shards"] >= 1
-        assert db_info["bytes"] > 0
+        info = store_info(directory)
+        assert info["entries"] == 8
+        assert info["schema"] == STORE_SCHEMA_VERSION
+        assert info["path"] == os.path.join(directory, STORE_FILE)
+        assert info["bytes"] > 0
 
-    def test_vacuum_both_backends(self, tmp_path):
-        cell = _config(0)
-        json_dir = str(tmp_path / "json")
-        store = JsonTreeStore(json_dir)
-        path = store.put(cell, {"cover": 1})
-        with open(f"{path}.tmp.{2**22 + 5}", "w") as handle:
-            handle.write("{dead")
-        assert vacuum_store(json_dir) == {"backend": "json", "swept_tmp": 1}
-        db_dir = str(tmp_path / "db")
-        db = SqliteStore(db_dir)
-        db.put(cell, {"cover": 1})
-        db.close()
-        assert vacuum_store(db_dir) == {
-            "backend": "sqlite",
-            "vacuumed_shards": 1,
-        }
+    def test_vacuum_store(self, tmp_path):
+        directory = str(tmp_path / "db")
+        store = open_store(directory)
+        cells = [_config(seed) for seed in range(200)]
+        store.put_many([(c, {"cover": 1}) for c in cells])
+        store.quarantine_many([c.config_hash for c in cells[1:]])
+        store.close()
+        facts = vacuum_store(directory)
+        assert facts["bytes_after"] < facts["bytes_before"]
+        assert store_info(directory)["entries"] == 1
 
 
 class TestCacheCli:
     def test_info_and_vacuum(self, tmp_path, capsys):
         directory = str(tmp_path / "cache")
-        JsonTreeStore(directory).put(_config(0), {"cover": 1})
+        store = open_store(directory)
+        store.put_many([(_config(0), {"cover": 1})])
+        store.close()
         assert main(["cache", "info", directory]) == 0
         out = capsys.readouterr().out
-        assert "backend=json" in out
         assert "entries=1" in out
+        assert f"schema={STORE_SCHEMA_VERSION}" in out
         assert main(["cache", "vacuum", directory]) == 0
-        assert "swept_tmp=0" in capsys.readouterr().out
-
-    def test_migrate_then_sqlite_run_is_all_cached(self, tmp_path, capsys):
-        json_cache = str(tmp_path / "json")
-        db_cache = str(tmp_path / "db")
-        args = ["sweep", "table1", "--quick", "--cache", json_cache]
-        assert main(args) == 0
-        assert "computed=6 cached=0" in capsys.readouterr().out
-        assert main(["cache", "migrate", json_cache, db_cache]) == 0
-        assert "migrated=6 corrupt=0" in capsys.readouterr().out
-        again = [
-            "sweep", "table1", "--quick",
-            "--cache", db_cache, "--store", "sqlite",
-        ]
-        assert main(again) == 0
-        assert "computed=0 cached=6" in capsys.readouterr().out
-
-    def test_store_flag_renders_identically(self, tmp_path, capsys):
-        json_args = [
-            "sweep", "table1", "--quick",
-            "--cache", str(tmp_path / "a"), "--store", "json",
-        ]
-        sqlite_args = [
-            "sweep", "table1", "--quick",
-            "--cache", str(tmp_path / "b"), "--store", "sqlite",
-        ]
-        assert main(json_args) == 0
-        json_out = capsys.readouterr().out
-        assert main(sqlite_args) == 0
-        sqlite_out = capsys.readouterr().out
-        # Identical reports up to the elapsed/cache note line.
-        strip = lambda text: [  # noqa: E731
-            line for line in text.splitlines()
-            if not line.startswith("note: completed")
-        ]
-        assert strip(json_out) == strip(sqlite_out)
+        assert "bytes_after=" in capsys.readouterr().out
 
     def test_cache_info_on_missing_store_fails_cleanly(
         self, tmp_path, capsys
     ):
         missing = str(tmp_path / "nope")
-        assert main(["cache", "info", missing]) == 0  # reads as empty json
-        assert "entries=0" in capsys.readouterr().out
+        assert main(["cache", "info", missing]) == 2
+        assert capsys.readouterr().err.startswith("cache info failed: ")
+        assert not os.path.exists(missing)
+
+    def test_cache_verify_on_missing_store_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        # A mistyped CI gate must fail, not pass vacuously.
+        missing = str(tmp_path / "nope")
+        assert main(["cache", "verify", missing]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cache verify failed: ")
+        assert err.count("\n") == 1
+        assert not os.path.exists(missing)
+
+    def test_cache_vacuum_on_missing_store_fails_cleanly(
+        self, tmp_path, capsys
+    ):
+        missing = str(tmp_path / "nope")
+        assert main(["cache", "vacuum", missing]) == 2
+        assert capsys.readouterr().err.startswith("cache vacuum failed: ")
+        assert not os.path.exists(missing)
+
+    def test_legacy_cache_directory_is_recomputed(
+        self, tmp_path, capsys, litter_legacy_layout
+    ):
+        from repro.sweep.registry import scenario
+
+        cells = scenario("table1", quick=True).configs()
+        cache = str(tmp_path / "cache")
+        for layout in LEGACY_LAYOUTS:
+            litter_legacy_layout(cache, layout, cells)
+        args = ["sweep", "table1", "--quick", "--cache", cache]
+        assert main(args) == 0
+        assert f"computed={len(cells)} cached=0" in capsys.readouterr().out
+        assert main(args) == 0
+        assert f"computed=0 cached={len(cells)}" in capsys.readouterr().out
+
+
+class TestCacheFlagErrors:
+    """An unusable ``--cache`` path exits 2 with one stderr line."""
+
+    @pytest.mark.parametrize("command", (
+        ["sweep", "table1", "--quick"],
+        ["run", "theorem1", "--quick"],
+    ))
+    def test_cache_path_is_a_regular_file(self, tmp_path, capsys, command):
+        path = tmp_path / "afile"
+        path.write_text("")
+        assert main([*command, "--cache", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert repr(str(path)) in err
+        assert "not a directory" in err
+
+    def test_cache_with_other_schema_version(self, tmp_path, capsys):
+        directory = str(tmp_path / "cache")
+        open_store(directory).close()
+        conn = sqlite3.connect(os.path.join(directory, STORE_FILE))
+        conn.execute(f"PRAGMA user_version = {STORE_SCHEMA_VERSION + 1}")
+        conn.close()
+        args = ["sweep", "table1", "--quick", "--cache", directory]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert directory in err
+        assert f"schema {STORE_SCHEMA_VERSION + 1}" in err
