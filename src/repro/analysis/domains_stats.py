@@ -21,10 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.domains import (
-    BorderType,
     DomainSnapshot,
+    DomainWindow,
     VisitTypeTracker,
-    classify_borders,
     domain_snapshot,
 )
 from repro.core.ring import RingRotorRouter
@@ -131,18 +130,23 @@ def border_type_census(
     After ``burn_in`` rounds, classify the borders at every sampled
     round for ``observation_rounds`` rounds.  Figure 1's claim: borders
     are vertex-type or edge-type (transients are rare one-step events
-    right after a first traversal).
+    right after a first traversal).  Sampled rounds are recorded into
+    :class:`DomainWindow` blocks and partitioned a block at a time.
     """
     engine = RingRotorRouter(n, directions, agents, track_counts=False)
     tracker = VisitTypeTracker(engine)
-    for _ in range(burn_in):
-        tracker.advance()
+    tracker.run(burn_in)
     census: Counter = Counter()
+    window = DomainWindow(n)
     for i in range(observation_rounds):
         tracker.advance()
         if i % sample_every == 0:
-            snapshot = domain_snapshot(engine, tracker)
-            census.update(classify_borders(snapshot))
+            window.record(engine, tracker)
+            if window.full:
+                census.update(window.partition().border_census())
+                window.clear()
+    if len(window):
+        census.update(window.partition().border_census())
     return census
 
 

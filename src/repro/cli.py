@@ -213,7 +213,7 @@ def _cmd_sweep(
     report = Report(
         title=f"sweep '{name}'"
         + (" (quick)" if quick else "")
-        + f" — spec {spec.spec_hash[:12]}",
+        + f" — spec {result.spec_hash[:12]}",
         claim=spec.description,
     )
     report.add_table(result.table())

@@ -78,7 +78,7 @@ from repro.sweep.faults import (
     corrupt_rows_in_store,
 )
 from repro.sweep.cells import cell_from_dict
-from repro.sweep.spec import ScenarioSpec, SweepConfig
+from repro.sweep.spec import ScenarioSpec, SweepConfig, expansion_hash
 from repro.sweep.store import ResultStore, open_store
 from repro.util.stats import normal_ci, summarize
 from repro.util.tables import Table
@@ -216,6 +216,11 @@ class SweepResult:
         ("worst_gap", ".0f"),
         ("best_gap", ".0f"),
     )
+
+    @property
+    def spec_hash(self) -> str:
+        """The spec's ``spec_hash``, from the cells this run expanded."""
+        return expansion_hash([result.config for result in self.results])
 
     def table(self) -> Table:
         """Render every cell as one row (generic sweep layout).

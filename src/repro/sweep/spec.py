@@ -247,6 +247,16 @@ class SweepConfig:
         )
 
 
+def expansion_hash(configs: Sequence[Any]) -> str:
+    """Deterministic digest of an expanded grid: its cells' hashes, in
+    expansion order.  ``spec_hash`` of a spec; a finished sweep derives
+    the same label from its results without re-expanding the spec."""
+    digest = hashlib.sha256()
+    for config in configs:
+        digest.update(config.config_hash.encode("ascii"))
+    return digest.hexdigest()
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """A declarative sweep: the full grid plus what to measure.
@@ -402,10 +412,7 @@ class ScenarioSpec:
 
     @property
     def spec_hash(self) -> str:
-        digest = hashlib.sha256()
-        for config in self.configs():
-            digest.update(config.config_hash.encode("ascii"))
-        return digest.hexdigest()
+        return expansion_hash(self.configs())
 
     @property
     def num_configs(self) -> int:
@@ -496,10 +503,7 @@ class GeneralScenarioSpec:
 
     @property
     def spec_hash(self) -> str:
-        digest = hashlib.sha256()
-        for config in self.configs():
-            digest.update(config.config_hash.encode("ascii"))
-        return digest.hexdigest()
+        return expansion_hash(self.configs())
 
     @property
     def num_configs(self) -> int:

@@ -7,7 +7,9 @@ import pytest
 from repro.graphs import (
     GraphCSR,
     PortLabeledGraph,
+    base,
     clique,
+    grid_2d,
     hypercube,
     lollipop,
     path_graph,
@@ -15,7 +17,11 @@ from repro.graphs import (
     star,
     torus_2d,
 )
-from repro.graphs.random_graphs import gnp_random_graph, shuffled_ports
+from repro.graphs.random_graphs import (
+    gnp_random_graph,
+    random_regular_graph,
+    shuffled_ports,
+)
 
 
 class TestGraphCSR:
@@ -106,3 +112,66 @@ class TestLazyConstructionCaches:
     def test_gnp_csr_round_trip(self):
         graph = gnp_random_graph(40, 0.2, seed=9)
         assert graph.to_csr().to_ports() == graph.port_lists()
+
+
+def _eccentricity_diameter(graph):
+    """The n-BFS definition: the largest eccentricity."""
+    return max(graph.eccentricity(v) for v in range(graph.num_nodes))
+
+
+class TestBitsetDiameter:
+    """``diameter()`` (bit-parallel BFS on the CSR) against n BFS runs."""
+
+    FAMILIES = {
+        "ring-5": lambda: ring_graph(5),
+        "ring-64": lambda: ring_graph(64),
+        "path-63": lambda: path_graph(63),
+        "path-65": lambda: path_graph(65),
+        "grid": lambda: grid_2d(7, 10),
+        "torus": lambda: torus_2d(9, 15),
+        "hypercube": lambda: hypercube(7),
+        "clique": lambda: clique(33),
+        "star": lambda: star(70),
+        "lollipop": lambda: lollipop(12, 30),
+        "gnp": lambda: gnp_random_graph(130, 0.05, seed=3),
+        "shuffled": lambda: shuffled_ports(torus_2d(6, 11), seed=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_max_eccentricity(self, name):
+        graph = self.FAMILIES[name]()
+        expected = _eccentricity_diameter(graph)
+        assert graph.diameter() == expected
+        assert graph._diameter_cache == expected
+
+    def test_random_regular(self):
+        pytest.importorskip("networkx")
+        graph = random_regular_graph(200, 3, seed=8)
+        assert graph.diameter() == _eccentricity_diameter(graph)
+
+    def test_source_batches(self, monkeypatch):
+        # A tiny gather budget forces one 64-source word per batch.
+        monkeypatch.setattr(base, "DIAMETER_GATHER_BYTES", 1)
+        graph = lollipop(40, 100)
+        assert base.csr_diameter(graph.to_csr()) == (
+            _eccentricity_diameter(graph)
+        )
+
+    def test_one_and_two_nodes(self):
+        assert PortLabeledGraph([[]]).diameter() == 0
+        assert PortLabeledGraph([[1], [0]]).diameter() == 1
+
+    @pytest.mark.parametrize(
+        "ports",
+        [[[1], [0], [3], [2]], [[1], [0], []], [[]] * 2],
+        ids=["two-edges", "isolated-node", "no-edges"],
+    )
+    def test_disconnected_raises(self, ports):
+        graph = PortLabeledGraph(ports)
+        with pytest.raises(ValueError, match="not connected"):
+            graph.diameter()
+        assert graph._diameter_cache is None
+
+    def test_empty_graph_raises(self):
+        with pytest.raises(ValueError):
+            PortLabeledGraph([]).diameter()

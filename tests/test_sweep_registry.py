@@ -151,6 +151,23 @@ class TestCliSweep:
         ) == 0
         assert "cache=disabled" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("name", ["table1", "general_speedup"])
+    def test_sweep_expands_its_spec_once(self, name, capsys, monkeypatch):
+        spec = registry.scenario(name, quick=True)
+        expand = type(spec).configs
+        expansions = []
+
+        def counted(self):
+            expansions.append(self.name)
+            return expand(self)
+
+        monkeypatch.setattr(type(spec), "configs", counted)
+        assert main(["sweep", name, "--quick", "--cache", "none"]) == 0
+        assert expansions == [name]
+        # The title still carries the spec's own hash.
+        title = f"== sweep '{name}' (quick) — spec {spec.spec_hash[:12]} =="
+        assert title in capsys.readouterr().out
+
     def test_sweep_csv_export(self, tmp_path, capsys):
         csv_dir = str(tmp_path / "csv")
         assert main(
