@@ -1,10 +1,10 @@
-"""[ablation] Engine kernels: sparse dict vs dense numpy vs reference.
+"""[ablation] Engine kernels: sparse ring dict engine vs reference.
 
 DESIGN.md's data-layout ablation: the O(k)-per-round sparse ring
-engine wins for k << n; the O(n) dense engine wins when agents are
-dense (the load-balancing regime); the general-graph reference engine
-pays for its generality.  These benchmarks use normal multi-round
-timing (they measure kernels, not experiments).
+engine against the general-graph reference engine, which pays for its
+generality, plus the sparse engine's dense-token regime.  These
+benchmarks use normal multi-round timing (they measure kernels, not
+experiments).
 """
 
 import pytest
@@ -12,7 +12,6 @@ import pytest
 from repro.core.engine import MultiAgentRotorRouter
 from repro.core.pointers import ring_pointers_to_ports, ring_random
 from repro.core.ring import RingRotorRouter
-from repro.core.ring_dense import DenseRingRotorRouter
 from repro.graphs.ring import ring_graph
 
 N = 1024
@@ -41,15 +40,6 @@ def test_sparse_engine_sparse_agents(benchmark, directions):
     assert benchmark(run) == ROUNDS
 
 
-def test_dense_engine_sparse_agents(benchmark, directions):
-    def run():
-        engine = DenseRingRotorRouter(N, list(directions), _agents(SPARSE_K))
-        engine.run(ROUNDS)
-        return engine.round
-
-    assert benchmark(run) == ROUNDS
-
-
 def test_general_engine_sparse_agents(benchmark, directions):
     graph = ring_graph(N)
     ports = ring_pointers_to_ports(directions)
@@ -67,15 +57,6 @@ def test_sparse_engine_dense_tokens(benchmark, directions):
         engine = RingRotorRouter(
             N, list(directions), _agents(DENSE_K), track_counts=False
         )
-        engine.run(ROUNDS // 4)
-        return engine.round
-
-    assert benchmark(run) == ROUNDS // 4
-
-
-def test_dense_engine_dense_tokens(benchmark, directions):
-    def run():
-        engine = DenseRingRotorRouter(N, list(directions), _agents(DENSE_K))
         engine.run(ROUNDS // 4)
         return engine.round
 

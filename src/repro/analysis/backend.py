@@ -128,9 +128,6 @@ class MeasurementPlan:
     cache_dir:
         On-disk result cache directory for the batch backend; ``None``
         disables caching.  The reference backend never caches.
-    chunk_lanes:
-        Lanes per kernel chunk (scheduling only, never affects
-        results); ``None`` uses the executor default.
     progress:
         Optional ``(done, total)`` callback for the batch backend.
     """
@@ -140,7 +137,6 @@ class MeasurementPlan:
         backend: str = "batch",
         jobs: int = 1,
         cache_dir: str | None = None,
-        chunk_lanes: int | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> None:
         if backend not in BACKENDS:
@@ -152,7 +148,6 @@ class MeasurementPlan:
         self.backend = backend
         self.jobs = jobs
         self.cache_dir = cache_dir
-        self.chunk_lanes = chunk_lanes
         self.progress = progress
         self._cells: dict[str, object] = {}
         self._results: dict[str, dict] | None = None
@@ -329,7 +324,7 @@ class MeasurementPlan:
                     jobs=self.jobs,
                     cache_dir=self.cache_dir,
                     progress=self.progress,
-                    chunk_lanes=self.chunk_lanes or DEFAULT_CHUNK_LANES,
+                    chunk_lanes=DEFAULT_CHUNK_LANES,
                 )
                 failed = failure_report.failed
         obs.count_many({

@@ -195,7 +195,6 @@ def _cmd_sweep(
     quick: bool,
     csv_dir: str | None,
     chunk_lanes: int | None = None,
-    fuse_rounds: int | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
 ) -> int:
@@ -207,7 +206,7 @@ def _cmd_sweep(
     spec = registry.scenario(name, quick=quick)
     result = run_sweep(
         spec, jobs=jobs, cache_dir=cache_dir, progress=StderrProgress(),
-        chunk_lanes=chunk_lanes, fuse_rounds=fuse_rounds,
+        chunk_lanes=chunk_lanes,
         max_retries=max_retries, chunk_timeout=chunk_timeout,
     )
     report = Report(
@@ -366,7 +365,6 @@ def _positive_float_argument(what: str) -> Callable[[str], float]:
 
 _jobs_argument = _positive_int_argument("worker count")
 _chunk_lanes_argument = _positive_int_argument("lane count")
-_fuse_rounds_argument = _positive_int_argument("round count")
 _max_retries_argument = _nonnegative_int_argument("retry count")
 _chunk_timeout_argument = _positive_float_argument("second count")
 
@@ -445,15 +443,9 @@ def main(argv: list[str] | None = None) -> int:
     sweep_parser.add_argument(
         "--chunk-lanes", type=_chunk_lanes_argument, default=None,
         metavar="B",
-        help="lanes per kernel chunk (default: scenario hint, else 64); "
+        help="lanes per ring or walk kernel chunk (default: scenario "
+        "hint, else 64; general-graph chunks split by load instead); "
         "a scheduling knob — results and cache entries are unaffected",
-    )
-    sweep_parser.add_argument(
-        "--fuse-rounds", type=_fuse_rounds_argument, default=None,
-        metavar="T",
-        help="rounds fused per kernel epoch (default: scenario hint, else "
-        "each kernel's tuned default); a scheduling knob — results are "
-        "bit-identical at every value",
     )
     sweep_parser.add_argument(
         "--max-retries", type=_max_retries_argument, default=None,
@@ -580,7 +572,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(
                 args.name, args.jobs, cache_dir, args.quick, args.csv,
-                args.chunk_lanes, args.fuse_rounds,
+                args.chunk_lanes,
                 args.max_retries, args.chunk_timeout,
             )
         return _cmd_all(

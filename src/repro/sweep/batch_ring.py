@@ -1,8 +1,7 @@
 """Vectorized batch ring kernel: many rotor-router lanes per numpy op.
 
 Sweeps spend their time stepping thousands of *independent* ring
-configurations, so instead of vectorizing one configuration (the
-:class:`repro.core.ring_dense.DenseRingRotorRouter` design) this kernel
+configurations, so instead of vectorizing one configuration this kernel
 stacks ``B`` of them into ``(B, n)`` arrays and advances all lanes with
 one fixed sequence of numpy operations per round.
 
@@ -48,20 +47,6 @@ Per-lane detection built on top of the kernel:
   one limit-cycle period per lane on that shrinking prefix, and
   records the worst per-node visit gap including the wrap-around gap,
   exactly as :func:`repro.core.limit.return_time_exact`.
-
-**Round fusion** (``fuse_rounds``): the bulk drivers and the Brent
-search amortize their per-round Python bookkeeping over epochs of up
-to ``fuse_rounds`` reconciliation windows.  Cover tracking already ran
-windowed; fusion widens the window to ``_WINDOW * fuse_rounds`` so the
-per-lane reconciliation, snapshotting and replay run once per epoch
-instead of once per 32 rounds.  The Brent phase-1 search buffers one
-fingerprint row per round and defers the hare-vs-snapshot comparison
-to the epoch boundary, replaying the epoch from its start snapshot for
-the rare candidate lanes to confirm hits byte-exactly at their first
-matching round.  Detection granularity never changes any reported
-number: cover rounds are pinned by exact replay, periods by exact
-in-epoch confirmation, so results are bit-identical for every
-``fuse_rounds`` (enforced by ``tests/test_sweep_fused.py``).
 
 Step-for-step equivalence with the reference engines is enforced by
 ``tests/test_sweep_batch_ring.py``.
@@ -111,12 +96,6 @@ class BatchRingKernel:
     track_cover:
         Maintain per-lane visited sets and ``cover_rounds``.  Turn off
         for limit-cycle searches, which only need the configuration.
-    fuse_rounds:
-        Fusion factor of the bulk drivers: reconciliation windows span
-        ``_WINDOW * fuse_rounds`` rounds, so per-lane cover bookkeeping
-        (reduction + snapshot + replay) runs once per that many rounds.
-        Results are bit-identical for every value (exact replay pins
-        cover rounds); 1 reproduces the pre-fusion cadence.
     """
 
     def __init__(
@@ -125,14 +104,9 @@ class BatchRingKernel:
         pointers: np.ndarray,
         counts: np.ndarray,
         track_cover: bool = True,
-        fuse_rounds: int = 1,
     ) -> None:
         if n < 3:
             raise ValueError(f"ring requires n >= 3, got {n}")
-        if fuse_rounds < 1:
-            raise ValueError(
-                f"fuse_rounds must be at least 1, got {fuse_rounds}"
-            )
         directions = np.asarray(pointers)
         initial = np.asarray(counts)
         if directions.ndim != 2 or directions.shape[1] != n:
@@ -156,7 +130,6 @@ class BatchRingKernel:
         self.num_lanes = directions.shape[0]
         self.num_agents = per_lane.astype(np.int64)
         self.round = 0
-        self.fuse_rounds = int(fuse_rounds)
         self._replays = 0
         self._epochs = 0
 
@@ -280,24 +253,22 @@ class BatchRingKernel:
 
     #: Rounds per reconciliation window of the bulk drivers: large
     #: enough to amortize the per-lane reduction, small enough that a
-    #: replay is negligible.  ``fuse_rounds`` multiplies this.
+    #: replay is negligible.
     _WINDOW = 32
 
     def _advance_windowed(self, rounds: int) -> None:
         """Advance ``rounds`` rounds with windowed exact cover tracking.
 
         Per round only ``seen |= counts`` runs (one element-wise op);
-        once per window (an *epoch* of ``_WINDOW * fuse_rounds``
-        rounds) the per-lane unvisited counts are reconciled, and lanes
-        that covered inside the window are replayed from the
-        window-start snapshot to recover the exact cover round.  The
-        replay is deterministic, touches only the few covered lanes,
-        and is bounded by the window length.
+        once per ``_WINDOW`` rounds the per-lane unvisited counts are
+        reconciled, and lanes that covered inside the window are
+        replayed from the window-start snapshot to recover the exact
+        cover round.  The replay is deterministic, touches only the few
+        covered lanes, and is bounded by the window length.
         """
-        epoch = self._WINDOW * self.fuse_rounds
         remaining = rounds
         while remaining > 0:
-            window = min(epoch, remaining)
+            window = min(self._WINDOW, remaining)
             if self._all_covered or not self._track_cover:
                 for _ in range(remaining):
                     self._step_arith()
@@ -331,20 +302,12 @@ class BatchRingKernel:
         base_round: int,
         window: int,
     ) -> None:
-        """Re-run ``lanes`` from the snapshot to stamp exact cover rounds.
-
-        Windows wider than ``_WINDOW`` (fused epochs) replay through
-        the windowed driver at the base cadence first — re-running the
-        covered lanes in 32-round windows costs one nested replay of
-        at most ``_WINDOW`` tracked steps per lane instead of tracking
-        every round of the epoch.
-        """
+        """Re-run ``lanes`` from the snapshot to stamp exact cover rounds."""
         self._replays += int(lanes.size)
         sub = object.__new__(BatchRingKernel)
         sub.n = self.n
         sub.num_lanes = len(lanes)
         sub.round = base_round
-        sub.fuse_rounds = 1
         sub._replays = 0
         sub._epochs = 0
         sub._counts = snap_counts[lanes]
@@ -357,25 +320,19 @@ class BatchRingKernel:
         sub._unvisited = sub.n - np.count_nonzero(sub._seen, axis=1)
         sub.cover_rounds = np.full(sub.num_lanes, -1, dtype=np.int64)
         sub._all_covered = False
-        if window > self._WINDOW:
-            end = base_round + window
-            while not sub._all_covered and sub.round < end:
-                sub._advance_windowed(min(self._WINDOW, end - sub.round))
-        else:
-            for _ in range(window):
-                sub.step()
-                if sub._all_covered:
-                    break
+        for _ in range(window):
+            sub.step()
+            if sub._all_covered:
+                break
         self.cover_rounds[lanes] = sub.cover_rounds
 
     def step_rounds(self, rounds: int) -> None:
-        """Advance every lane ``rounds`` rounds in one fused dispatch.
+        """Advance every lane ``rounds`` rounds with windowed tracking.
 
-        The fused bulk entry point: cover detection is downgraded to an
-        epoch check at fusion boundaries (every ``_WINDOW *
-        fuse_rounds`` rounds) plus an exact replay of the final epoch
-        for just-covered lanes, so ``cover_rounds`` stays exact while
-        per-lane bookkeeping runs ``fuse_rounds`` times less often.
+        The bulk entry point: cover detection is a check every
+        ``_WINDOW`` rounds plus an exact replay of the window for
+        just-covered lanes, so ``cover_rounds`` stays exact while the
+        per-lane bookkeeping stays off the per-round path.
         """
         if rounds < 0:
             raise ValueError(f"rounds must be non-negative, got {rounds}")
@@ -397,9 +354,10 @@ class BatchRingKernel:
         """
         if not self._track_cover:
             raise RuntimeError("kernel was created with track_cover=False")
-        epoch = self._WINDOW * self.fuse_rounds
         while not self._all_covered and self.round < max_rounds:
-            self._advance_windowed(min(epoch, max_rounds - self.round))
+            self._advance_windowed(
+                min(self._WINDOW, max_rounds - self.round)
+            )
         if strict and not self._all_covered:
             uncovered = int((self.cover_rounds < 0).sum())
             raise RuntimeError(
@@ -568,12 +526,7 @@ class _Fingerprinter:
                     f"{self.w_cnt.shape}"
                 )
 
-    def of(
-        self,
-        block: "_LaneBlock",
-        out: np.ndarray | None = None,
-        work: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def of(self, block: "_LaneBlock") -> np.ndarray:
         """``(A,)`` uint64 fingerprints of the block's configuration rows.
 
         Default weights take the packed fast path: the per-node state
@@ -582,25 +535,14 @@ class _Fingerprinter:
         carries across packed elements and OR-ing the pointer bit is
         exact addition — then hashed with a single wrapping matmul.
         Injected weights keep the two-matmul form over pointer and
-        count words separately.  The fused Brent epochs pass ``out``
-        (fingerprint destination row) and ``work`` (a word-shaped
-        scratch buffer) to keep the per-round path allocation-free.
+        count words separately.
         """
         if self._w_packed is not None:
-            if work is None:
-                z = block.cnt_words << np.uint64(1)
-            else:
-                np.left_shift(block.cnt_words, np.uint64(1), out=work)
-                z = work
+            z = block.cnt_words << np.uint64(1)
             z |= block.ptr_words
-            if out is None:
-                return z @ self._w_packed
-            return np.matmul(z, self._w_packed, out=out)
+            return z @ self._w_packed
         fp = block.ptr_words @ self.w_ptr
         fp += block.cnt_words @ self.w_cnt
-        if out is not None:
-            out[...] = fp
-            return out
         return fp
 
 
@@ -758,7 +700,6 @@ def _brent_periods(
     fingerprint: _Fingerprinter,
     compact_ratio: float,
     stats: dict | None = None,
-    fuse_rounds: int = 1,
 ) -> np.ndarray:
     """Phase 1 of Brent's search: per-lane minimal periods (or -1).
 
@@ -772,16 +713,6 @@ def _brent_periods(
     keeps the lane searching — exactly what exact keys would have
     done.  Resolved lanes are compacted out once the live fraction
     drops to ``compact_ratio``.
-
-    With ``fuse_rounds > 1`` the search advances in epochs of up to
-    that many rounds per Python iteration: each epoch buffers one
-    fingerprint row per round, defers the hare-vs-snapshot comparison
-    to the epoch boundary (one broadcast equality over the buffer),
-    and confirms candidate lanes by replaying the epoch from its start
-    snapshot — the confirmation happens at exactly the first matching
-    round, so resolved periods are identical to the per-round path.
-    Epochs are clamped so snapshot refreshes still land on the
-    ``(power, lam)`` schedule boundaries.
     """
     num_lanes = ptr0.shape[0]
     periods = np.full(num_lanes, -1, dtype=np.int64)
@@ -795,69 +726,23 @@ def _brent_periods(
     snap_step = 0  # snapshots refresh when steps reaches snap_step+window
     window = 1
     while num_alive and steps < max_rounds:
-        # Clamp epochs so a snapshot refresh always falls on an epoch
-        # boundary (the schedule is data-independent, so the clamping
-        # sequence is identical for every lane and every fuse value).
-        fuse = min(fuse_rounds, snap_step + window - steps, max_rounds - steps)
         resolved_now = False
-        if fuse > 1:
-            epoch_ptr = block.ptr.copy()
-            epoch_cnt = block.cnt.copy()
-            fp_buf = np.empty((fuse, block.rows), dtype=np.uint64)
-            work = np.empty_like(block.cnt_words)
-            for t in range(fuse):
-                block.step_all()
-                fingerprint.of(block, out=fp_buf[t], work=work)
-            base = steps
-            steps += fuse
+        block.step_all()
+        steps += 1
+        cur_fp = fingerprint.of(block)
+        hit = cur_fp == snap_fp
+        hit &= alive
+        if hit.any():
+            rows = np.flatnonzero(hit)
+            confirmed = rows[block.rows_equal(snapshot, rows)]
             if stats is not None:
-                stats["epochs"] += 1
-            cur_fp = fp_buf[fuse - 1].copy()
-            hits = (fp_buf == snap_fp) & alive
-            if hits.any():
-                # Replay the epoch for just the candidate lanes to
-                # confirm byte-exactly at their first matching round.
-                cand = np.flatnonzero(hits.any(axis=0))
-                sub = _LaneBlock(epoch_ptr[cand], epoch_cnt[cand])
-                snap_sub = snapshot.take(cand)
-                live = np.ones(cand.size, dtype=bool)
-                for t in range(fuse):
-                    sub.step_all()
-                    rows_t = np.flatnonzero(hits[t, cand] & live)
-                    if not rows_t.size:
-                        continue
-                    confirmed = rows_t[sub.rows_equal(snap_sub, rows_t)]
-                    if stats is not None:
-                        stats["fp_hits"] += int(rows_t.size)
-                        stats["fp_confirmed"] += int(confirmed.size)
-                    if confirmed.size:
-                        lanes = cand[confirmed]
-                        periods[orig[lanes]] = (base + t + 1) - snap_step
-                        alive[lanes] = False
-                        live[confirmed] = False
-                        num_alive -= confirmed.size
-                        resolved_now = True
-                    if not live.any():
-                        break
-        else:
-            block.step_all()
-            steps += 1
-            if stats is not None:
-                stats["epochs"] += 1
-            cur_fp = fingerprint.of(block)
-            hit = cur_fp == snap_fp
-            hit &= alive
-            if hit.any():
-                rows = np.flatnonzero(hit)
-                confirmed = rows[block.rows_equal(snapshot, rows)]
-                if stats is not None:
-                    stats["fp_hits"] += int(rows.size)
-                    stats["fp_confirmed"] += int(confirmed.size)
-                if confirmed.size:
-                    periods[orig[confirmed]] = steps - snap_step
-                    alive[confirmed] = False
-                    num_alive -= confirmed.size
-                    resolved_now = True
+                stats["fp_hits"] += int(rows.size)
+                stats["fp_confirmed"] += int(confirmed.size)
+            if confirmed.size:
+                periods[orig[confirmed]] = steps - snap_step
+                alive[confirmed] = False
+                num_alive -= confirmed.size
+                resolved_now = True
         if steps == snap_step + window and num_alive:
             # Window complete: every live lane refreshes its snapshot
             # to the current configuration (dead rows refresh too —
@@ -970,7 +855,6 @@ def batch_limit_cycles(
     max_rounds: int,
     strict: bool = True,
     *,
-    fuse_rounds: int = 1,
     compact_ratio: float = DEFAULT_COMPACT_RATIO,
     _fingerprint_weights: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> BatchLimitCycles:
@@ -983,14 +867,10 @@ def batch_limit_cycles(
     match :func:`repro.core.limit.find_limit_cycle` exactly (both
     compute the true minimal period and preperiod).
 
-    ``fuse_rounds`` sets the phase-1 epoch length (rounds advanced per
-    Python iteration, with deferred comparison and replay-confirmed
-    hits — see :func:`_brent_periods`); phase 2 stays per-round, its
-    comparison is between two halves of the same moving block so there
-    is no stationary snapshot to defer against.  ``compact_ratio``
-    tunes when resolved lanes are compacted out of the working arrays
-    (see :data:`DEFAULT_COMPACT_RATIO`); ``_fingerprint_weights`` lets
-    tests inject degenerate weights to force fingerprint collisions.
+    ``compact_ratio`` tunes when resolved lanes are compacted out of
+    the working arrays (see :data:`DEFAULT_COMPACT_RATIO`);
+    ``_fingerprint_weights`` lets tests inject degenerate weights to
+    force fingerprint collisions.
 
     With ``strict``, exhausting ``max_rounds`` raises ``RuntimeError``
     (mirroring the reference); otherwise unresolved lanes report -1,
@@ -998,10 +878,6 @@ def batch_limit_cycles(
     """
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be positive, got {max_rounds}")
-    if fuse_rounds < 1:
-        raise ValueError(
-            f"fuse_rounds must be at least 1, got {fuse_rounds}"
-        )
     _check_compact_ratio(compact_ratio)
     # The kernel constructor owns validation and dtype selection; its
     # typed arrays seed both Brent phases.
@@ -1015,13 +891,12 @@ def batch_limit_cycles(
         None
         if tel is None
         else {
-            "rounds": 0, "epochs": 0, "fp_hits": 0, "fp_confirmed": 0,
-            "compactions": 0,
+            "rounds": 0, "fp_hits": 0, "fp_confirmed": 0, "compactions": 0,
         }
     )
     periods = _brent_periods(
         seed._ptr, seed._counts, max_rounds, strict, fingerprint,
-        compact_ratio, stats, fuse_rounds,
+        compact_ratio, stats,
     )
     preperiods = _brent_preperiods(
         seed._ptr, seed._counts, periods, max_rounds, fingerprint,
@@ -1033,7 +908,6 @@ def batch_limit_cycles(
             "limit.invocations": 1,
             "limit.lanes": seed.num_lanes,
             "limit.rounds": stats["rounds"],
-            "limit.epochs": stats["epochs"],
             "limit.fp_hits": stats["fp_hits"],
             "limit.fp_confirmed": stats["fp_confirmed"],
             "limit.fp_collisions": stats["fp_hits"] - stats["fp_confirmed"],

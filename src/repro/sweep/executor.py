@@ -61,10 +61,8 @@ import numpy as np
 
 from repro import obs
 from repro.sweep.batch_ring import (
-    DEFAULT_COMPACT_RATIO,
     BatchLimitCycles,
     BatchRingKernel,
-    _check_compact_ratio,
     batch_limit_cycles,
     batch_return_gaps,
     lanes_from_configs,
@@ -301,16 +299,17 @@ def _dispatch_chunk(payload: dict) -> list[tuple[str, dict]]:
 def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
     """Rotor cells: one deterministic lane each, batch ring kernel.
 
-    Sparse cover-only chunks take the serial dict-engine path instead
-    — identical results, better constants when agents are sparse (see
-    :func:`_prefer_serial_covers`).
+    Chunks the planner flagged ``serial`` (sparse cover-only chunks,
+    see :func:`_prefer_serial_covers`) take the serial dict-engine path
+    instead — identical results, better constants when agents are
+    sparse.
     """
     n = payload["n"]
     max_rounds = payload["max_rounds"]
     metrics: Sequence[str] = payload["metrics"]
-    compact_ratio = payload.get("compact_ratio", DEFAULT_COMPACT_RATIO)
-    fuse_rounds = payload.get("fuse_rounds") or 1
     configs = [cell_from_dict(data) for data in payload["configs"]]
+    if payload.get("serial"):
+        return _compute_rotor_covers_serial(n, max_rounds, configs)
     lanes = payload.get("lanes")
     if lanes is not None:
         # Parent-packed shared-memory slabs: the lane arrays were built
@@ -319,8 +318,6 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
         pointers = shm.resolve(lanes["pointers"])
         counts = shm.resolve(lanes["counts"])
     else:
-        if list(metrics) == ["cover"] and _prefer_serial_covers(n, configs):
-            return _compute_rotor_covers_serial(n, max_rounds, configs)
         built = [config.build() for config in configs]
         pointers, counts = lanes_from_configs(
             n, [(directions, agents) for agents, directions in built]
@@ -328,14 +325,13 @@ def _compute_rotor_chunk(payload: dict) -> list[tuple[str, dict]]:
 
     out: list[dict] = [{} for _ in configs]
     if "cover" in metrics:
-        kernel = BatchRingKernel(n, pointers, counts, fuse_rounds=fuse_rounds)
+        kernel = BatchRingKernel(n, pointers, counts)
         covers = kernel.run_until_covered(max_rounds, strict=False)
         for b, cover in enumerate(covers):
             out[b]["cover"] = int(cover) if cover >= 0 else None
     if "stabilization" in metrics or "return" in metrics:
         cycles = batch_limit_cycles(
-            n, pointers, counts, max_rounds, strict=False,
-            fuse_rounds=fuse_rounds, compact_ratio=compact_ratio,
+            n, pointers, counts, max_rounds, strict=False
         )
         resolved = cycles.periods > 0
         if "stabilization" in metrics:
@@ -384,16 +380,11 @@ def _compute_walk_chunk(payload: dict) -> list[tuple[str, dict]]:
     """
     n = payload["n"]
     max_rounds = payload["max_rounds"]
-    fuse_rounds = payload.get("fuse_rounds")
     configs = [cell_from_dict(data) for data in payload["configs"]]
     lanes, slices = walk_lanes_from_cells(
         [(config.build_agents(), config.rep_seeds()) for config in configs]
     )
-    walks = (
-        BatchRingWalks(n, lanes, fuse_rounds=fuse_rounds)
-        if fuse_rounds
-        else BatchRingWalks(n, lanes)  # kernel default (tuned)
-    )
+    walks = BatchRingWalks(n, lanes)
     covers = walks.run_until_covered(max_rounds, strict=False)
     out: list[tuple[str, dict]] = []
     for config, (start, stop) in zip(configs, slices):
@@ -553,10 +544,7 @@ def _compute_general_serial(cells: list) -> list[tuple[str, dict]]:
 def _plan_chunks(
     misses: list,
     chunk_lanes: int,
-    walk_chunk_walkers: int = DEFAULT_WALK_CHUNK_WALKERS,
-    compact_ratio: float = DEFAULT_COMPACT_RATIO,
     jobs: int = 1,
-    fuse_rounds: int | None = None,
 ) -> list[dict]:
     """Group misses by (model, n, budget, metrics); slice into payloads.
 
@@ -564,10 +552,12 @@ def _plan_chunks(
     carries exactly one metric set, so heterogeneous miss lists can
     never compute (and cache) the wrong metrics for some of their
     cells.  Walk chunks are additionally split by total walker count
-    (``Σ k·repetitions``), which bounds the walk kernel's block-buffer
-    memory regardless of how many repetitions a cell fans out into.
-    ``compact_ratio`` rides along in every rotor payload to tune the
-    limit-cycle pipeline's lane compaction.
+    (``Σ k·repetitions``, capped at :data:`DEFAULT_WALK_CHUNK_WALKERS`),
+    which bounds the walk kernel's block-buffer memory regardless of
+    how many repetitions a cell fans out into.  Sparse cover-only ring
+    chunks are flagged ``serial`` here, once (see
+    :func:`_prefer_serial_covers`): the worker runs them on the dict
+    engine and the shared-memory packer skips them.
 
     General-graph cells group together regardless of size or budget —
     the CSR kernel steps heterogeneous lanes natively, and the more
@@ -579,11 +569,6 @@ def _plan_chunks(
     buys nothing in-process); parallel runs split it into up to
     ``2·jobs`` chunks balanced by occupied-pair load estimates
     (``min(k, n) · max_rounds`` per cell), not by lane count.
-
-    ``fuse_rounds`` rides along in every payload (like
-    ``compact_ratio``): ``None`` leaves each kernel on its own tuned
-    default, an explicit value pins the fusion factor — either way the
-    results are bit-identical, so it never joins the cache identity.
     """
     groups: dict[tuple[str, int, int, tuple[str, ...]], list] = {}
     for config in misses:
@@ -601,16 +586,12 @@ def _plan_chunks(
         if model == "rotor-general":
             # Stable, so same-graph cells keep their miss order.
             members = sorted(members, key=lambda cell: cell.graph_digest)
-        for chunk in _slice_chunks(
-            model, members, chunk_lanes, walk_chunk_walkers, jobs
-        ):
+        for chunk in _slice_chunks(model, members, chunk_lanes, jobs):
             payload = {
                 "model": model,
                 "n": n,
                 "max_rounds": max_rounds,
                 "metrics": list(metrics),
-                "compact_ratio": compact_ratio,
-                "fuse_rounds": fuse_rounds,
                 "configs": [config.to_dict() for config in chunk],
                 # Chunk-ordered hashes ride along so the supervisor can
                 # quarantine (and fault plans can target) cells without
@@ -624,6 +605,8 @@ def _plan_chunks(
                 payload["graphs"] = {
                     config.graph_digest: config.csr() for config in chunk
                 }
+            elif model != "walk" and metrics == ("cover",):
+                payload["serial"] = _prefer_serial_covers(n, chunk)
             payloads.append(payload)
     return payloads
 
@@ -632,7 +615,6 @@ def _slice_chunks(
     model: str,
     members: list,
     chunk_lanes: int,
-    walk_chunk_walkers: int,
     jobs: int = 1,
 ) -> list[list]:
     """Split one group's members into kernel-sized chunks."""
@@ -677,7 +659,7 @@ def _slice_chunks(
         weight = config.k * config.repetitions
         if current and (
             len(current) >= chunk_lanes
-            or walkers + weight > walk_chunk_walkers
+            or walkers + weight > DEFAULT_WALK_CHUNK_WALKERS
         ):
             chunks.append(current)
             current, walkers = [], 0
@@ -693,12 +675,13 @@ def _pack_shm_payloads(payloads: list[dict]) -> "shm.SlabArena | None":
 
     Rotor chunks get their lane slabs (``(B, n)`` pointers/counts)
     prebuilt here and replaced by descriptors under ``payload["lanes"]``
-    — unless the chunk would take the serial-covers path, which wants
-    per-cell configs, not slabs.  General chunks get their digest-keyed
-    graph tables packed once *per distinct graph across all chunks*
-    (the same descriptor triple is shared), so a graph that spans chunk
-    boundaries ships a single copy.  Walk and gap payloads are already
-    descriptor-sized (seeds and positions) and pass through untouched.
+    — unless the planner flagged the chunk ``serial``: the
+    serial-covers path wants per-cell configs, not slabs.  General
+    chunks get their digest-keyed graph tables packed once *per
+    distinct graph across all chunks* (the same descriptor triple is
+    shared), so a graph that spans chunk boundaries ships a single
+    copy.  Walk and gap payloads are already descriptor-sized (seeds
+    and positions) and pass through untouched.
 
     Returns the sealed arena (caller owns the unlink), or None when
     nothing was worth packing.
@@ -716,13 +699,10 @@ def _pack_shm_payloads(payloads: list[dict]) -> "shm.SlabArena | None":
                     graph_entries[digest] = entry
                 packed[digest] = entry
             payload["graphs"] = packed
-        elif model != "walk":
-            configs = [cell_from_dict(data) for data in payload["configs"]]
-            if list(payload["metrics"]) == ["cover"] and _prefer_serial_covers(
-                payload["n"], configs
-            ):
-                continue  # the worker re-derives the serial decision
-            built = [config.build() for config in configs]
+        elif model != "walk" and not payload.get("serial"):
+            built = [
+                cell_from_dict(data).build() for data in payload["configs"]
+            ]
             pointers, counts = lanes_from_configs(
                 payload["n"],
                 [(directions, agents) for agents, directions in built],
@@ -1069,8 +1049,8 @@ class StderrProgress:
     sweep, which excludes the initial cache-hit jump: the ETA reflects
     actual compute throughput, not cache reads.  The rate itself is
     measured over a sliding window of recent updates (at most
-    ``RATE_WINDOW`` seconds) rather than the whole sweep: fused chunks
-    complete many cells in one burst after a long silent epoch, and a
+    ``RATE_WINDOW`` seconds) rather than the whole sweep: a chunk
+    completes many cells in one burst after a long silent epoch, and a
     since-start rate would let that stall (or a fast cached prefix)
     distort the ETA for the rest of the run.  The window is clamped at
     those epoch boundaries — it always retains the sample immediately
@@ -1165,9 +1145,6 @@ def run_cells(
     cache_dir: str | None = None,
     progress: ProgressFn | None = None,
     chunk_lanes: int = DEFAULT_CHUNK_LANES,
-    walk_chunk_walkers: int = DEFAULT_WALK_CHUNK_WALKERS,
-    compact_ratio: float = DEFAULT_COMPACT_RATIO,
-    fuse_rounds: int | None = None,
     faults: FaultPlan | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
@@ -1203,15 +1180,6 @@ def run_cells(
         raise ValueError(f"jobs must be non-negative, got {jobs}")
     if chunk_lanes < 1:
         raise ValueError(f"chunk_lanes must be positive, got {chunk_lanes}")
-    if walk_chunk_walkers < 1:
-        raise ValueError(
-            f"walk_chunk_walkers must be positive, got {walk_chunk_walkers}"
-        )
-    if fuse_rounds is not None and fuse_rounds < 1:
-        raise ValueError(
-            f"fuse_rounds must be at least 1, got {fuse_rounds}"
-        )
-    _check_compact_ratio(compact_ratio)
     policy = active_policy()
     if max_retries is None:
         max_retries = (
@@ -1244,9 +1212,8 @@ def run_cells(
     cache = open_store(cache_dir) if cache_dir else None
     try:
         return _run_cells_with_store(
-            cells, cache, jobs, progress, chunk_lanes, walk_chunk_walkers,
-            compact_ratio, fuse_rounds, faults, max_retries, chunk_timeout,
-            retry_backoff,
+            cells, cache, jobs, progress, chunk_lanes, faults, max_retries,
+            chunk_timeout, retry_backoff,
         )
     finally:
         if cache is not None:
@@ -1259,9 +1226,6 @@ def _run_cells_with_store(
     jobs: int,
     progress: ProgressFn | None,
     chunk_lanes: int,
-    walk_chunk_walkers: int,
-    compact_ratio: float,
-    fuse_rounds: int | None,
     faults: FaultPlan | None,
     max_retries: int,
     chunk_timeout: float | None,
@@ -1319,10 +1283,7 @@ def _run_cells_with_store(
 
     by_hash = {cell.config_hash: cell for cell in misses}
     with obs.span("plan", misses=len(misses)):
-        payloads = _plan_chunks(
-            misses, chunk_lanes, walk_chunk_walkers, compact_ratio, jobs,
-            fuse_rounds,
-        )
+        payloads = _plan_chunks(misses, chunk_lanes, jobs)
     if session is not None:
         for payload in payloads:
             payload["trace"] = session.next_chunk_trace()
@@ -1423,9 +1384,6 @@ def run_sweep(
     cache_dir: str | None = None,
     progress: ProgressFn | None = None,
     chunk_lanes: int | None = None,
-    walk_chunk_walkers: int | None = None,
-    compact_ratio: float | None = None,
-    fuse_rounds: int | None = None,
     faults: FaultPlan | None = None,
     max_retries: int | None = None,
     chunk_timeout: float | None = None,
@@ -1438,15 +1396,11 @@ def run_sweep(
     called with ``(done, total)`` configuration counts as results
     arrive, cache hits included.
 
-    The scheduling knobs — ``chunk_lanes`` (lanes per kernel chunk),
-    ``walk_chunk_walkers`` (walker cap per walk chunk),
-    ``compact_ratio`` (the limit-cycle pipeline's lane-compaction
-    threshold) and ``fuse_rounds`` (the kernels' round-fusion factor;
-    ``None`` keeps each kernel's tuned default) — resolve explicit
-    argument > scenario hint > module default, so benchmarks and the
-    CLI can sweep them without editing scenarios.  None of them
-    affects any result or cache identity, only how the work is
-    batched.
+    The one scheduling knob, ``chunk_lanes`` (lanes per ring or walk
+    kernel chunk), resolves explicit argument > the ``ScenarioSpec``
+    hint > :data:`DEFAULT_CHUNK_LANES`, so benchmarks and the CLI can
+    sweep it without editing scenarios.  It affects no result or cache
+    identity, only how the work is batched.
 
     The robustness knobs (``faults``/``max_retries``/
     ``chunk_timeout``/``retry_backoff``) pass straight through to
@@ -1456,19 +1410,9 @@ def run_sweep(
     ``SweepResult.failure_report``.
     """
     if chunk_lanes is None:
-        chunk_lanes = spec.chunk_lanes or DEFAULT_CHUNK_LANES
-    if walk_chunk_walkers is None:
-        walk_chunk_walkers = (
-            spec.walk_chunk_walkers or DEFAULT_WALK_CHUNK_WALKERS
-        )
-    if compact_ratio is None:
-        compact_ratio = (
-            spec.compact_ratio
-            if spec.compact_ratio is not None
-            else DEFAULT_COMPACT_RATIO
-        )
-    if fuse_rounds is None:
-        fuse_rounds = spec.fuse_rounds
+        # General-graph specs carry no hint: their chunks split by load.
+        hint = spec.chunk_lanes if isinstance(spec, ScenarioSpec) else None
+        chunk_lanes = hint or DEFAULT_CHUNK_LANES
     started = time.perf_counter()
     configs = spec.configs()  # spec expansion guarantees unique cells
     metrics_by_hash, cached_hashes, failure_report = run_cells(
@@ -1477,9 +1421,6 @@ def run_sweep(
         cache_dir=cache_dir,
         progress=progress,
         chunk_lanes=chunk_lanes,
-        walk_chunk_walkers=walk_chunk_walkers,
-        compact_ratio=compact_ratio,
-        fuse_rounds=fuse_rounds,
         faults=faults,
         max_retries=max_retries,
         chunk_timeout=chunk_timeout,

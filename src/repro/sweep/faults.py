@@ -26,7 +26,7 @@ CLI threads through ``run``/``sweep``/``all``.  Explicit executor
 arguments win; otherwise an ambient policy installed by
 :func:`execution_policy` applies (this is how the CLI reaches the
 experiment runners without widening eleven signatures); otherwise the
-executor defaults.  Like the scheduling hints on ``ScenarioSpec``,
+executor defaults.  Like the ``chunk_lanes`` hint on ``ScenarioSpec``,
 none of these knobs is part of any cache identity.
 """
 

@@ -19,7 +19,9 @@ with :data:`STORE_SCHEMA_VERSION` pinned in ``PRAGMA user_version`` —
 a file written under another store schema refuses to open rather than
 mis-serving rows.  Only the parent process writes (one ``put_many``
 per committed chunk), WAL lets readers proceed while it does, and a
-30 s busy timeout serializes concurrent processes sharing the file.
+30 s busy timeout serializes concurrent processes sharing the file
+(the switch to WAL, which SQLite does not route through that timeout,
+is retried within the same budget).
 
 Config integrity is enforced where rows enter: ``put_many`` derives
 the key and the ``config`` text from the cell's canonical identity, and
@@ -42,6 +44,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
@@ -59,6 +62,35 @@ STORE_FILE = "cells.db"
 #: Rows per ``IN (...)`` query, comfortably under SQLite's default
 #: 999-variable limit.
 _SELECT_CHUNK = 512
+
+#: Seconds a connection waits on another process's lock: SQLite's busy
+#: timeout, and the budget of the WAL-switch retry in
+#: :func:`_enable_wal`.
+_BUSY_TIMEOUT = 30.0
+
+
+def _enable_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s database to WAL, waiting out other openers.
+
+    Changing the journal mode takes a lock that SQLite does not route
+    through the busy handler, so a process racing other openers of a
+    fresh file fails at once with "database is locked" despite the
+    connection timeout.  This one statement is retried with exponential
+    backoff (1 ms doubling, capped at 0.1 s) inside the same
+    :data:`_BUSY_TIMEOUT` budget; any other error, or the budget running
+    out, raises as before.
+    """
+    deadline = time.monotonic() + _BUSY_TIMEOUT
+    delay = 0.001
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+        time.sleep(delay)
+        delay = min(2 * delay, 0.1)
 
 
 def _canonical(payload: dict) -> str:
@@ -132,10 +164,10 @@ class ResultStore:
             ) from None
 
     def _connect(self) -> sqlite3.Connection:
-        conn = sqlite3.connect(self.path, timeout=30.0)
+        conn = sqlite3.connect(self.path, timeout=_BUSY_TIMEOUT)
         try:
             conn.isolation_level = None  # explicit BEGIN/COMMIT below
-            conn.execute("PRAGMA journal_mode=WAL")
+            _enable_wal(conn)
             conn.execute("PRAGMA synchronous=NORMAL")
             version = conn.execute("PRAGMA user_version").fetchone()[0]
             if version == 0:

@@ -252,9 +252,13 @@ class TestCachingAndStats:
         assert "computed=1" in line
         assert "cached=0" in line
 
-    def test_parallel_execution_matches(self):
+    def test_parallel_execution_matches(self, monkeypatch):
+        from repro.sweep import executor
+
         serial = MeasurementPlan(backend="batch", jobs=1)
-        parallel = MeasurementPlan(backend="batch", jobs=2, chunk_lanes=2)
+        parallel = MeasurementPlan(backend="batch", jobs=2)
+        # Two-lane chunks, so the pool runs several chunks at once.
+        monkeypatch.setattr(executor, "DEFAULT_CHUNK_LANES", 2)
         pairs = []
         for k in (1, 2, 3, 4):
             agents = placement_mod.equally_spaced(24, k)

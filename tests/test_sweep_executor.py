@@ -10,6 +10,7 @@ import pytest
 from repro.analysis.cover_time import ring_rotor_cover_time
 from repro.analysis.return_time import ring_rotor_return_time_exact
 from repro.randomwalk.ring_walk import RingRandomWalks
+from repro.sweep import executor
 from repro.sweep.executor import (
     _plan_chunks,
     compute_chunk,
@@ -207,11 +208,10 @@ class TestWalkModel:
             c.metrics for c in second.results
         ]
 
-    def test_walk_chunks_split_by_walker_budget(self):
+    def test_walk_chunks_split_by_walker_budget(self, monkeypatch):
+        monkeypatch.setattr(executor, "DEFAULT_WALK_CHUNK_WALKERS", 20)
         spec = self._walk_spec(ks=(2, 3, 4, 5))
-        payloads = _plan_chunks(
-            spec.configs(), chunk_lanes=64, walk_chunk_walkers=20
-        )
+        payloads = _plan_chunks(spec.configs(), chunk_lanes=64)
         assert len(payloads) > 1
         for payload in payloads:
             weight = sum(
@@ -225,7 +225,7 @@ class TestWalkModel:
 
 
 class TestSchedulingKnobs:
-    def test_walk_chunk_walkers_override_preserves_results(self):
+    def test_walk_chunk_walkers_override_preserves_results(self, monkeypatch):
         spec = ScenarioSpec(
             name="walkers-test",
             ns=(16,),
@@ -236,28 +236,16 @@ class TestSchedulingKnobs:
             repetitions=3,
         )
         default = run_sweep(spec)
-        tiny = run_sweep(spec, walk_chunk_walkers=4)
+        # A walker cap below one cell's walkers: one chunk per cell.
+        monkeypatch.setattr(executor, "DEFAULT_WALK_CHUNK_WALKERS", 4)
+        tiny = run_sweep(spec)
         assert [c.metrics for c in default.results] == [
             c.metrics for c in tiny.results
         ]
 
-    def test_compact_ratio_override_preserves_results(self):
-        spec = _cover_spec(
-            ns=(16,), metrics=("stabilization", "return")
-        )
-        default = run_sweep(spec)
-        for ratio in (0.0, 1.0):
-            tuned = run_sweep(spec, compact_ratio=ratio)
-            assert [c.metrics for c in default.results] == [
-                c.metrics for c in tuned.results
-            ]
-
     def test_spec_hints_are_used_and_results_identical(self):
         plain = _cover_spec(ns=(16,))
-        hinted = _cover_spec(
-            ns=(16,), chunk_lanes=2, walk_chunk_walkers=8,
-            compact_ratio=1.0,
-        )
+        hinted = _cover_spec(ns=(16,), chunk_lanes=2)
         assert [c.metrics for c in run_sweep(plain).results] == [
             c.metrics for c in run_sweep(hinted).results
         ]
@@ -279,9 +267,7 @@ class TestSchedulingKnobs:
         with pytest.raises(ValueError):
             run_sweep(spec, chunk_lanes=0)
         with pytest.raises(ValueError):
-            run_sweep(spec, walk_chunk_walkers=0)
-        with pytest.raises(ValueError):
-            run_sweep(spec, compact_ratio=1.5)
+            run_sweep(spec, chunk_lanes=-1)
 
 
 class TestChunkPlanning:
@@ -297,6 +283,15 @@ class TestChunkPlanning:
         for payload in payloads:
             for config in payload["configs"]:
                 assert payload["metrics"] == config["metrics"]
+        # The sparse-cover route is decided here, once per chunk: only
+        # cover-only rotor chunks carry the flag, set iff Σk < n.
+        by_metrics = {tuple(p["metrics"]): p for p in payloads}
+        assert sum(config.k for config in cover) < 16
+        assert by_metrics[("cover",)]["serial"] is True
+        assert "serial" not in by_metrics[("stabilization",)]
+        dense = _cover_spec(ns=(16,), ks=(8,)).configs()  # Σk = 16
+        (unflagged,) = _plan_chunks(dense, chunk_lanes=64)
+        assert unflagged["serial"] is False
 
     def test_heterogeneous_misses_compute_their_own_metrics(self):
         # End to end: every cell of a mixed-metric miss list comes back

@@ -1,14 +1,17 @@
 """Round fusion & shared-memory handoff: bit-identity under scheduling.
 
-Two pillars of the fused execution path are pinned here:
+Two pillars of the batched execution path are pinned here:
 
-* **Round fusion is identity-neutral.**  Randomized configurations are
-  run at ``fuse_rounds`` 1 (the pre-fusion cadence), 7 (odd, misaligned
-  with every power-of-two budget) and 64 (wide epochs that overshoot
-  most events), and every observable — cover rounds, final pointers and
-  counts, stabilization periods, walk visit tables — must be
-  bit-identical.  Trials deliberately include lanes that cover *inside*
-  a fused epoch and lanes that truncate at ``max_rounds``.
+* **Fused cadences are identity-neutral.**  The ring kernel's bulk
+  drivers fuse cover bookkeeping over 32-round windows (one per-lane
+  reduction per window, exact cover rounds recovered by replay), and
+  must match per-round tracking bit for bit; the Brent search's
+  periods and preperiods must hold on the windowed trajectory.  The
+  walk kernel fuses RNG draws over ``fuse_rounds`` blocks, run here at
+  1 (the unfused cadence), 7 (odd, misaligned with every power-of-two
+  budget) and 64 (wide epochs that overshoot most events).  Trials
+  deliberately include lanes that cover inside a window or epoch and
+  lanes that truncate at ``max_rounds``.
 * **The shared-memory worker handoff changes nothing.**  A ``jobs=2``
   sweep must equal the serial run result-for-result and kernel-counter
   for kernel-counter, rerun from its cache with zero recomputation, and
@@ -65,98 +68,112 @@ def _assert_states_equal(reference, candidate, context):
     np.testing.assert_array_equal(got_counts, ref_counts, err_msg=context)
 
 
+def _stepped(n, pointers, counts, rounds):
+    """A kernel advanced ``rounds`` rounds by per-round ``step`` calls,
+    which track cover exactly every round (the unfused cadence)."""
+    kernel = BatchRingKernel(n, pointers, counts)
+    for _ in range(rounds):
+        kernel.step()
+    return kernel
+
+
 class TestRingFusionEquivalence:
-    """Fused ring cover runs replay to bit-identical results."""
+    """Windowed ring drivers replay to the per-round result."""
 
     @pytest.mark.parametrize("trial", range(40))
     def test_cover_and_final_state_match_across_fusion(self, trial):
         rng = np.random.default_rng(1000 + trial)
         n, pointers, counts = _random_ring_config(rng)
-        # Mix horizons: generous (all lanes cover, many inside one wide
-        # epoch) and starved (truncation lanes report -1).
+        # Mix horizons: generous (all lanes cover, most inside a
+        # window) and starved (truncation lanes report -1).
         max_rounds = int(rng.choice([8, 64, 16 * n * n]))
-        kernels = []
-        for fuse in FUSE_GRID:
-            kernel = BatchRingKernel(n, pointers, counts, fuse_rounds=fuse)
-            kernel.run_until_covered(max_rounds, strict=False)
-            kernels.append(kernel)
-        # Wider epochs may stop later (cover is only *checked* at epoch
-        # boundaries; the recorded cover rounds are exact regardless).
-        # Advance everyone to the latest stopping round and the full
-        # configurations must coincide bit for bit.
-        horizon = max(kernel.round for kernel in kernels)
-        states = []
-        for kernel in kernels:
-            kernel.step_rounds(horizon - kernel.round)
-            states.append(_ring_state(kernel))
-        for fuse, state in zip(FUSE_GRID[1:], states[1:]):
-            _assert_states_equal(
-                states[0], state,
-                f"trial={trial} n={n} max_rounds={max_rounds} fuse={fuse}",
-            )
+        windowed = BatchRingKernel(n, pointers, counts)
+        windowed.run_until_covered(max_rounds, strict=False)
+        # The windowed driver stops at a window boundary; the exact
+        # cadence runs to the same round and must agree bit for bit.
+        reference = _stepped(n, pointers, counts, windowed.round)
+        _assert_states_equal(
+            _ring_state(reference), _ring_state(windowed),
+            f"trial={trial} n={n} max_rounds={max_rounds}",
+        )
 
     @pytest.mark.parametrize("trial", range(10))
     def test_step_rounds_matches_across_fusion(self, trial):
         rng = np.random.default_rng(2000 + trial)
         n, pointers, counts = _random_ring_config(rng)
         rounds = int(rng.integers(1, 200))
-        states = []
-        for fuse in FUSE_GRID:
-            kernel = BatchRingKernel(n, pointers, counts, fuse_rounds=fuse)
-            kernel.step_rounds(rounds)
-            states.append(_ring_state(kernel))
-        for fuse, state in zip(FUSE_GRID[1:], states[1:]):
-            _assert_states_equal(
-                states[0], state, f"trial={trial} rounds={rounds} fuse={fuse}"
-            )
+        windowed = BatchRingKernel(n, pointers, counts)
+        windowed.step_rounds(rounds)
+        _assert_states_equal(
+            _ring_state(_stepped(n, pointers, counts, rounds)),
+            _ring_state(windowed),
+            f"trial={trial} rounds={rounds}",
+        )
 
     def test_cover_inside_first_wide_epoch_is_exact(self):
-        # A single rotor walker fighting outward-pointing rotors covers
-        # the n=40 ring around round 780 — deep inside a 64-round-fused
-        # epoch (64 * 32 = 2048 rounds) but 25 windows into the
-        # unfused run.  Replay must pin the exact round, not the epoch
-        # boundary the lane was first *detected* covered at.
+        # Four evenly spaced agents under split rotors cover the n=40
+        # ring at round 28, inside the first 32-round window.  The
+        # window-end check detects it at round 32; replay from the
+        # window-start snapshot must pin the exact round.
         n = 40
         pointers = np.array(
             [[1 if i < n // 2 else -1 for i in range(n)]], dtype=np.int64
         )
         counts = np.zeros((1, n), dtype=np.int64)
-        counts[0, n // 2] = 1
-        reference = BatchRingKernel(n, pointers, counts, fuse_rounds=1)
-        fused = BatchRingKernel(n, pointers, counts, fuse_rounds=64)
-        np.testing.assert_array_equal(
-            fused.run_until_covered(10_000),
-            reference.run_until_covered(10_000),
+        counts[0, ::10] = 1
+        windowed = BatchRingKernel(n, pointers, counts)
+        windowed.run_until_covered(10_000)
+        assert int(windowed.cover_rounds[0]) == 28
+        assert (windowed.round, windowed._epochs, windowed._replays) == (
+            32, 1, 1
         )
-        assert int(fused.cover_rounds[0]) == 780
-        assert fused._epochs == 1 < reference._epochs
+        reference = _stepped(n, pointers, counts, 28)
+        assert int(reference.cover_rounds[0]) == 28
 
 
 class TestLimitFusionEquivalence:
-    """Fused Brent phase 1 resolves identical periods and preperiods."""
+    """Per-round Brent results hold on the windowed trajectory."""
 
     @pytest.mark.parametrize("trial", range(30))
     def test_periods_and_preperiods_match_across_fusion(self, trial):
         rng = np.random.default_rng(3000 + trial)
         n, pointers, counts = _random_ring_config(rng, max_n=24, max_lanes=5)
-        # Starve a third of the trials so truncation lanes (-1) are
-        # compared too.
-        max_rounds = 40 if trial % 3 == 0 else 64 * n * n
-        results = [
-            batch_limit_cycles(
-                n, pointers, counts, max_rounds, strict=False,
-                fuse_rounds=fuse,
+        full = batch_limit_cycles(n, pointers, counts, 64 * n * n)
+        mu, lam = full.preperiods, full.periods
+        context = f"trial={trial} n={n}"
+        # By definition, round mu is the first configuration that
+        # recurs, and it recurs first after lam rounds.  Advance with
+        # the windowed bulk driver, then scan one period per round.
+        base = max(int(mu.min()) - 1, 0)
+        kernel = BatchRingKernel(n, pointers, counts)
+        kernel.step_rounds(base)
+        states: list[dict[int, bytes]] = []
+        for _ in range(int((mu + lam).max()) - base + 1):
+            states.append(kernel.state_keys())
+            kernel.step()
+        for lane in range(len(mu)):
+            at, period = int(mu[lane]) - base, int(lam[lane])
+            start = states[at][lane]
+            later = [states[at + t][lane] for t in range(1, period)]
+            assert states[at + period][lane] == start, context
+            assert start not in later, context
+            if mu[lane] > 0:
+                before = states[at - 1][lane]
+                assert before != states[at - 1 + period][lane], context
+        # Starve a third of the trials: lanes inside the budget resolve
+        # exactly as with the full budget, the rest truncate to -1.
+        if trial % 3 == 0:
+            starved = batch_limit_cycles(
+                n, pointers, counts, 40, strict=False
             )
-            for fuse in FUSE_GRID
-        ]
-        for fuse, result in zip(FUSE_GRID[1:], results[1:]):
-            context = f"trial={trial} n={n} fuse={fuse}"
+            resolved = starved.periods > 0
             np.testing.assert_array_equal(
-                result.periods, results[0].periods, err_msg=context
+                starved.periods[resolved], lam[resolved], err_msg=context
             )
             np.testing.assert_array_equal(
-                result.preperiods, results[0].preperiods, err_msg=context
+                starved.preperiods[resolved], mu[resolved], err_msg=context
             )
+            assert (starved.preperiods[~resolved] == -1).all(), context
 
 
 class TestWalkFusionEquivalence:
@@ -344,44 +361,6 @@ class TestParallelEquivalence:
         )
         for ours, theirs in zip(rerun.results, first.results):
             assert ours.metrics == theirs.metrics
-
-    def test_fuse_rounds_knob_is_identity_neutral(self, tmp_path):
-        spec = _mixed_spec(ns=(16,))
-        cache_dir = str(tmp_path / "cache")
-        baseline = run_sweep(spec, jobs=1, cache_dir=cache_dir)
-        # A different fusion factor must revisit the same cache entries
-        # (identical hashes) and reproduce identical metrics.
-        refused = run_sweep(
-            spec, jobs=2, cache_dir=cache_dir, fuse_rounds=16
-        )
-        assert refused.cache_misses == 0
-        for ours, theirs in zip(refused.results, baseline.results):
-            assert ours.metrics == theirs.metrics
-
-
-class TestFuseRoundsHint:
-    def test_spec_hint_is_identity_neutral_and_validated(self):
-        plain = _mixed_spec()
-        hinted = _mixed_spec(fuse_rounds=8)
-        assert plain == hinted
-        assert hinted.fuse_rounds == 8
-        with pytest.raises(ValueError, match="fuse_rounds"):
-            _mixed_spec(fuse_rounds=0)
-
-    def test_general_spec_hint_validated(self):
-        from repro.graphs.families import star
-        from repro.sweep.spec import GeneralScenarioSpec
-
-        spec = GeneralScenarioSpec(
-            name="g", graphs=(("star5", star(5)),), ks=(1,), seeds=(0,),
-            fuse_rounds=4,
-        )
-        assert spec.fuse_rounds == 4
-        with pytest.raises(ValueError, match="fuse_rounds"):
-            GeneralScenarioSpec(
-                name="g", graphs=(("star5", star(5)),), ks=(1,), seeds=(0,),
-                fuse_rounds=-1,
-            )
 
 
 # ------------------------------------------------------ identity lint

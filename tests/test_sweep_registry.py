@@ -1,5 +1,7 @@
 """Registered scenarios and the `python -m repro sweep` subcommand."""
 
+import dataclasses
+
 import pytest
 
 from repro.cli import main
@@ -226,7 +228,18 @@ class TestCliSweep:
     def test_stabilization_scenario_carries_scheduling_hints(self):
         spec = registry.scenario("stabilization")
         assert spec.chunk_lanes == 256
-        assert spec.compact_ratio == 0.5
+        # chunk_lanes is the one scheduling hint a scenario carries;
+        # general-graph scenarios carry none (they split by load).
+        outside_identity = [
+            field.name for field in dataclasses.fields(spec)
+            if not field.compare
+        ]
+        assert outside_identity == ["description", "chunk_lanes"]
+        general = registry.scenario("general_speedup", quick=True)
+        assert [
+            field.name for field in dataclasses.fields(general)
+            if not field.compare
+        ] == ["description"]
 
     def test_table1_full_cli_prints_both_models_and_ratios(
         self, tmp_path, capsys

@@ -200,14 +200,11 @@ class TestHashing:
         assert _spec().spec_hash == _spec().spec_hash
 
     def test_scheduling_hints_not_part_of_identity(self):
-        # chunk_lanes / walk_chunk_walkers / compact_ratio change how
-        # the grid is batched, never what a cell computes — so neither
-        # cell hashes nor the spec hash may move, and cached results
-        # stay shared across schedule settings.
+        # chunk_lanes changes how the grid is batched, never what a
+        # cell computes — so neither cell hashes nor the spec hash may
+        # move, and cached results stay shared across schedule settings.
         plain = _spec()
-        hinted = _spec(
-            chunk_lanes=8, walk_chunk_walkers=128, compact_ratio=1.0
-        )
+        hinted = _spec(chunk_lanes=8)
         assert plain.spec_hash == hinted.spec_hash
         assert [c.config_hash for c in plain.configs()] == [
             c.config_hash for c in hinted.configs()
@@ -247,11 +244,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             _spec(chunk_lanes=0)
         with pytest.raises(ValueError):
-            _spec(walk_chunk_walkers=0)
-        with pytest.raises(ValueError):
-            _spec(compact_ratio=-0.5)
-        with pytest.raises(ValueError):
-            _spec(compact_ratio=2.0)
+            _spec(chunk_lanes=-3)
 
     def test_unknown_placement(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,49 @@ class TestConcurrentWriters:
         store.close()
 
 
+def _open_in_lockstep(root, count, barrier, failures):
+    """Open ``count`` fresh stores under ``root``, one per barrier trip."""
+    failed = 0
+    for index in range(count):
+        barrier.wait(timeout=60)
+        try:
+            open_store(os.path.join(root, f"d{index}")).close()
+        except StoreOpenError:
+            failed += 1
+    failures.put(failed)
+
+
+class TestConcurrentOpen:
+    def test_fresh_stores_open_under_lockstep_openers(self, tmp_path):
+        # Regression: switching a new database to WAL takes a lock
+        # SQLite does not wait on, so openers racing on a fresh
+        # directory used to fail at once with "database is locked".  A
+        # barrier before each open lines the processes up on one
+        # directory at a time; every open must succeed.
+        processes, count = 5, 50
+        context = multiprocessing.get_context("spawn")
+        barrier = context.Barrier(processes)
+        failures = context.Queue()
+        workers = [
+            context.Process(
+                target=_open_in_lockstep,
+                args=(str(tmp_path), count, barrier, failures),
+            )
+            for _ in range(processes)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            failed = [failures.get(timeout=120) for _ in workers]
+        finally:
+            for worker in workers:
+                worker.join(timeout=10)
+                if worker.is_alive():
+                    worker.terminate()
+        assert failed == [0] * processes
+        assert all(worker.exitcode == 0 for worker in workers)
+
+
 class TestExecutorIntegration:
     def test_run_sweep_sqlite_cache_hits_second_time(self, tmp_path):
         spec = _cover_spec()
